@@ -51,8 +51,7 @@ class Graph:
     """Edge-indexed multigraph with relation ids.
 
     Edges are sorted by (dst, src, rel); ``in_indptr[i]:in_indptr[i+1]``
-    delimits the incoming edges of node ``i``. ``out_perm``/``out_indptr``
-    give the same edges grouped by source.
+    delimits the incoming edges of node ``i``.
     """
 
     __slots__ = (

@@ -259,7 +259,6 @@ def train_kg(kg: KgDataset, net_cfg: NetworkConfig, train_cfg: TrainConfig,
     stopper = EarlyStopper(train_cfg.window)
     report = TrainReport(task="kg", seed=train_cfg.seed)
     heads, rels, tails = _train_queries(kg)
-    targets_full = smoothed_targets(tails, kg.num_entities, train_cfg.label_smoothing)
     best_params = model.store.snapshot()
 
     for epoch in range(1, train_cfg.epoch_cap("kg") + 1):
@@ -267,6 +266,9 @@ def train_kg(kg: KgDataset, net_cfg: NetworkConfig, train_cfg: TrainConfig,
         epoch_loss = 0.0
         for lo in range(0, len(order), train_cfg.batch_size):
             batch = order[lo : lo + train_cfg.batch_size]
+            # built per batch: all queries at once would take queries x entities
+            targets = smoothed_targets([tails[i] for i in batch], kg.num_entities,
+                                       train_cfg.label_smoothing)
             model.store.zero_grad()
             entity = model.entity_repr(training=True, rng=drop_rng)
             scores = distmult_scores(
@@ -274,7 +276,7 @@ def train_kg(kg: KgDataset, net_cfg: NetworkConfig, train_cfg: TrainConfig,
                 gather_rows(model.decoder.relations, rels[batch]),
                 entity,
             )
-            loss = kl_label_smoothing_loss(scores, targets_full[batch])
+            loss = kl_label_smoothing_loss(scores, targets)
             loss.backward()
             optimizer.step()
             epoch_loss += float(loss.data) * len(batch)

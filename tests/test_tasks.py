@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from magna import tasks
 from magna.tape import Tensor
 from magna.tasks import (
     cross_entropy_loss,
@@ -219,6 +222,87 @@ def test_kg_ranks_match_brute_force_oracle(rng, tmp_path):
         assert ranks[2 * i] == brute_force_rank(tail_scores, t, kg.filter_index[(h, r)])
         head_scores = (entity[t] * relw[r + n_rel]) @ entity.T
         assert ranks[2 * i + 1] == brute_force_rank(head_scores, h, kg.filter_index[(t, r + n_rel)])
+
+
+def per_query_ranks(entity, relw, kg, triples):
+    """Reference ranker: one mat-vec and one ``filtered_rank`` per rank, in
+    ``kg_filtered_ranks`` order (tail replaced, then head via the reverse)."""
+    n_rel = len(kg.relation_names)
+    out = []
+    for h, r, t in np.asarray(triples).tolist():
+        for e, q, target in ((h, r, t), (t, r + n_rel, h)):
+            scores = (entity[e] * relw[q]) @ entity.T
+            out.append(filtered_rank(scores, target, kg.filter_index.get((e, q), set())))
+    return np.array(out)
+
+
+@pytest.fixture
+def quantized_kg(rng, tmp_path):
+    """The compositional toy KG with integer-valued embeddings, so that many
+    scores tie exactly."""
+    kg = compositional_kg(str(tmp_path / "kg"))
+    entity = np.round(rng.normal(size=(kg.num_entities, 4)))
+    relw = np.round(rng.normal(size=(kg.num_relations, 4)))
+    return kg, entity, relw
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 3])
+def test_kg_ranks_equal_per_query_ranks_under_ties(quantized_kg, block_rows, monkeypatch):
+    kg, entity, relw = quantized_kg
+    if block_rows is not None:
+        monkeypatch.setattr(tasks, "_RANK_BLOCK_BYTES", 8 * kg.num_entities * block_rows)
+    triples = np.concatenate([kg.train, kg.valid, kg.test])
+    ranks = kg_filtered_ranks(entity, relw, kg, triples)
+    assert np.array_equal(ranks, per_query_ranks(entity, relw, kg, triples))
+    assert np.any(ranks % 1 == 0.5)  # ties were split
+    assert any(len(kg.filter_index[(int(h), int(r))]) > 1 for h, r, _ in triples)  # filtering ran
+
+
+def test_kg_ranks_without_other_known_answers(quantized_kg):
+    kg, entity, relw = quantized_kg
+    n_rel = len(kg.relation_names)
+    ent, rel = kg.entity_names.index, kg.relation_names.index
+    # the held-out triples are the only answers to their queries, and the
+    # made-up triple c0 -r1-> a0 has neither of its queries in the index
+    assert all(kg.filter_index[(h, r)] == {t} for h, r, t in kg.valid.tolist())
+    made_up = np.array([[ent("c0"), rel("r1"), ent("a0")]])
+    assert (ent("c0"), rel("r1")) not in kg.filter_index
+    assert (ent("a0"), rel("r1") + n_rel) not in kg.filter_index
+    triples = np.concatenate([kg.valid, made_up])
+    ranks = kg_filtered_ranks(entity, relw, kg, triples)
+    assert np.array_equal(ranks, per_query_ranks(entity, relw, kg, triples))
+    for i, (h, r, t) in enumerate(triples.tolist()):
+        assert ranks[2 * i] == brute_force_rank((entity[h] * relw[r]) @ entity.T, t, set())
+        assert ranks[2 * i + 1] == brute_force_rank((entity[t] * relw[r + n_rel]) @ entity.T, h, set())
+
+
+def test_kg_ranks_of_empty_split(quantized_kg):
+    kg, entity, relw = quantized_kg
+    ranks = kg_filtered_ranks(entity, relw, kg, np.zeros((0, 3), dtype=np.int64))
+    assert ranks.shape == (0,)
+
+
+def test_kg_rank_memory_grows_with_block_not_queries_times_entities(rng, tmp_path, monkeypatch):
+    # a larger instance of the toy KG, so that one score row (8 bytes per
+    # entity) outweighs the ranker's per-query index arrays
+    kg = compositional_kg(str(tmp_path / "kg"), groups=100, held_out_valid=range(10))
+    entity = rng.normal(size=(kg.num_entities, 4))
+    relw = rng.normal(size=(kg.num_relations, 4))
+    monkeypatch.setattr(tasks, "_RANK_BLOCK_BYTES", 8 * kg.num_entities * 4)
+
+    def peak_bytes(triples):
+        tracemalloc.start()
+        try:
+            kg_filtered_ranks(entity, relw, kg, triples)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    once = peak_bytes(kg.valid)
+    four_times = peak_bytes(np.tile(kg.valid, (4, 1)))
+    extra_queries = 2 * 3 * len(kg.valid)
+    # holding every score row would add 8 * num_entities bytes per query
+    assert four_times - once < extra_queries * 8 * kg.num_entities / 4
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,15 @@ def test_compositional_kg_reaches_high_validation_mrr(toy_kg):
     assert kg_validation_mrr(model, toy_kg.valid) == report.best_val
 
 
+def test_kg_training_numerics_are_pinned(toy_kg):
+    # exact values of the one-query-at-a-time ranker with all targets built
+    # up front; blocked ranking and per-batch targets must not move a bit
+    small = dataclasses.replace(KG_TRAIN, epochs=3, window=3)
+    report, _ = train_kg(toy_kg, KG_NET, small, entity_dim=16)
+    assert report.train_loss == [5.541060404645261, 4.610328085862478, 3.033778993355198]
+    assert report.val_metric == [0.030134020857843738, 0.06780303030303031, 0.08056628056628057]
+
+
 def test_kg_single_batch_when_batch_size_covers_groups(toy_kg):
     small = dataclasses.replace(KG_TRAIN, epochs=5, window=5)
     r_all, _ = train_kg(toy_kg, KG_NET, small, entity_dim=16)
