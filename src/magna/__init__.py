@@ -22,7 +22,6 @@ from .graph import (
     GraphFormatError,
     KgDataset,
     NodeDataset,
-    incoming_segment,
     load_kg_dataset,
     load_node_dataset,
     save_kg_dataset,

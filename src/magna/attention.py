@@ -41,7 +41,6 @@ __all__ = [
     "edge_scores",
     "attention_weights",
     "attention_diffusion",
-    "one_hop_aggregate",
     "exact_diffusion_oracle",
     "dense_attention",
     "multi_head_diffusion",
@@ -152,11 +151,6 @@ def attention_diffusion(att: Tensor, h: Tensor, cfg: DiffusionConfig, graph) -> 
     return z
 
 
-def one_hop_aggregate(att: Tensor, h: Tensor, graph) -> Tensor:
-    """Plain A @ H aggregation (the no-diffusion ablation path)."""
-    return edge_spmm(att, h, graph)
-
-
 def exact_diffusion_oracle(a_dense: np.ndarray, alpha: float) -> np.ndarray:
     """Dense a * (I - (1-a) A)^-1, the closed form the recursion converges to.
 
@@ -227,7 +221,7 @@ def multi_head_diffusion(
         if training and attention_dropout > 0.0:
             att = dropout(att, attention_dropout, rng, training)
         if no_diffusion:
-            outputs.append(one_hop_aggregate(att, h_norm, graph))
+            outputs.append(edge_spmm(att, h_norm, graph))
         else:
             outputs.append(attention_diffusion(att, h_norm, cfg, graph))
     stacked = outputs[0] if len(outputs) == 1 else concat_cols(outputs)

@@ -24,7 +24,7 @@ from .analysis import (
     write_spectrum_csv,
     write_summary_json,
 )
-from .graph import GraphFormatError, load_kg_dataset, load_node_dataset
+from .graph import GraphFormatError, load_kg_dataset, load_node_dataset, read_edge_file
 from .model import ABLATION_FLAGS, NetworkConfig
 from .optim import load_checkpoint, save_checkpoint
 from .search import random_search, validate_space
@@ -211,39 +211,14 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _read_edge_file_graph(path: str) -> np.ndarray:
-    """Symmetric 0/1 adjacency from an edges.tsv-style file."""
-    if not os.path.isfile(path):
-        raise CliError(f"graph file not found: {path}")
-    pairs = set()
-    max_node = -1
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (2, 3):
-                raise CliError(f"{path}:{lineno}: expected src<TAB>dst[<TAB>relation]")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise CliError(f"{path}:{lineno}: bad node id") from None
-            if u < 0 or v < 0:
-                raise CliError(f"{path}:{lineno}: node id out of range")
-            pairs.add((u, v))
-            max_node = max(max_node, u, v)
-    if max_node < 0:
-        raise CliError(f"{path}: no edges")
-    adj = np.zeros((max_node + 1, max_node + 1))
-    for u, v in pairs:
-        adj[u, v] = 1.0
-        adj[v, u] = 1.0
-    return adj
-
-
 def cmd_analyze_spectrum(args) -> int:
-    adj = _read_edge_file_graph(args.graph)
+    rows, _ = read_edge_file(args.graph)
+    if len(rows) == 0:
+        raise GraphFormatError("no edges", args.graph)
+    # symmetric 0/1 adjacency; a pair listed in both directions sets the same entries
+    src, dst = rows[:, 0], rows[:, 2]
+    adj = np.zeros((int(max(src.max(), dst.max())) + 1,) * 2)
+    adj[src, dst] = adj[dst, src] = 1.0
     out = _prepare_out(args.out)
     _write_resolved_config(out, "analyze-spectrum", args.seed,
                            {"graph": args.graph, "alpha": args.alpha})

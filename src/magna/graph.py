@@ -2,9 +2,8 @@
 
 Graphs are stored as flat (src, rel, dst) arrays sorted by destination, with
 a CSR-style ``in_indptr`` so aggregation into a node scans one contiguous
-segment. A source-sorted permutation is kept alongside for the reverse pass
-of edge aggregation. Everything is immutable after construction and safe to
-share across threads.
+segment. Everything is immutable after construction and safe to share across
+threads.
 
 On-disk formats (UTF-8, LF, tab-separated):
   node dataset dir: features.tsv  ``node_id<TAB>v1,v2,...``
@@ -30,7 +29,8 @@ __all__ = [
     "load_kg_dataset",
     "save_node_dataset",
     "save_kg_dataset",
-    "incoming_segment",
+    "read_edge_file",
+    "kg_queries",
 ]
 
 SPLIT_TOKENS = ("train", "val", "test")
@@ -54,37 +54,29 @@ class Graph:
     delimits the incoming edges of node ``i``.
     """
 
-    __slots__ = (
-        "num_nodes",
-        "num_relations",
-        "src",
-        "rel",
-        "dst",
-        "in_indptr",
-        "directed",
-    )
+    __slots__ = ("num_nodes", "num_relations", "src", "rel", "dst", "in_indptr")
 
-    def __init__(self, num_nodes, num_relations, edges, directed):
+    def __init__(self, num_nodes, num_relations, edges):
+        """``edges``: (src, rel, dst) rows, as an (E, 3) array or a list of tuples."""
         self.num_nodes = int(num_nodes)
         self.num_relations = int(num_relations)
-        self.directed = bool(directed)
-        edges = list(edges)
-        if edges:
-            arr = np.asarray(edges, dtype=np.int64)
-            src, rel, dst = arr[:, 0], arr[:, 1], arr[:, 2]
-        else:
-            src = rel = dst = np.zeros(0, dtype=np.int64)
+        edges = np.asarray(edges, dtype=np.int64)
+        if edges.size and (edges.ndim != 2 or edges.shape[1] != 3):
+            raise ValueError(f"edges must be (src, rel, dst) rows, got shape {edges.shape}")
+        src, rel, dst = edges.reshape(-1, 3).T
 
         for name, ids, bound in (("node", src, self.num_nodes), ("node", dst, self.num_nodes), ("relation", rel, self.num_relations)):
             if ids.size and (ids.min() < 0 or ids.max() >= bound):
                 raise GraphFormatError(f"{name} id out of range (0..{bound - 1})")
-        if len({(int(s), int(r), int(d)) for s, r, d in zip(src, rel, dst)}) != len(src):
-            raise GraphFormatError("duplicate (src, rel, dst) edge")
 
         order = np.lexsort((rel, src, dst))
         self.src = src[order]
         self.rel = rel[order]
         self.dst = dst[order]
+        # sorted by the full key, so any repeated edge sits next to its twin
+        if np.any((self.src[1:] == self.src[:-1]) & (self.rel[1:] == self.rel[:-1])
+                  & (self.dst[1:] == self.dst[:-1])):
+            raise GraphFormatError("duplicate (src, rel, dst) edge")
         counts = np.bincount(self.dst, minlength=self.num_nodes)
         self.in_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
@@ -95,9 +87,6 @@ class Graph:
     def edge_list(self) -> list[tuple[int, int, int]]:
         return [(int(s), int(r), int(d)) for s, r, d in zip(self.src, self.rel, self.dst)]
 
-    def in_degree(self, node: int) -> int:
-        return int(self.in_indptr[node + 1] - self.in_indptr[node])
-
     def with_self_loops(self) -> "Graph":
         """Add a relation-0 self loop to every node with no incoming edge.
 
@@ -106,20 +95,19 @@ class Graph:
         missing = np.flatnonzero(np.diff(self.in_indptr) == 0)
         if missing.size == 0:
             return self
-        extra = [(int(i), 0, int(i)) for i in missing]
-        return Graph(
-            self.num_nodes,
-            max(self.num_relations, 1),
-            self.edge_list() + extra,
-            self.directed,
-        )
+        edges = np.concatenate([
+            np.stack([self.src, self.rel, self.dst], axis=1),
+            np.stack([missing, np.zeros_like(missing), missing], axis=1),
+        ])
+        return Graph(self.num_nodes, max(self.num_relations, 1), edges)
 
 
-def incoming_segment(graph: Graph, node: int) -> range:
-    """Edge indices whose destination is ``node`` (may be empty)."""
-    if not 0 <= node < graph.num_nodes:
-        raise GraphFormatError(f"node id out of range (0..{graph.num_nodes - 1})")
-    return range(int(graph.in_indptr[node]), int(graph.in_indptr[node + 1]))
+def kg_queries(triples, num_relations: int) -> np.ndarray:
+    """Both directions of each (head, rel, tail) triple as (entity, relation,
+    answer) rows, interleaved: row ``2i`` is ``(h, r, t)`` and row ``2i+1``
+    is ``(t, r + num_relations, h)``, relation ``r``'s reverse twin."""
+    h, r, t = np.asarray(triples, dtype=np.int64).reshape(-1, 3).T
+    return np.stack([h, r, t, t, r + num_relations, h], axis=1).reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -153,10 +141,6 @@ class KgDataset:
         """Relation count including reverse directions."""
         return 2 * len(self.relation_names)
 
-    def reverse_rel(self, rel: int) -> int:
-        n = len(self.relation_names)
-        return rel + n if rel < n else rel - n
-
 
 # ---------------------------------------------------------------------------
 # node dataset I/O
@@ -174,6 +158,30 @@ def _parse_int(text: str, what: str, path: str, line: int) -> int:
         return int(text)
     except ValueError:
         raise GraphFormatError(f"bad {what} {text!r}", path, line) from None
+
+
+def read_edge_file(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse an edges.tsv file of ``src<TAB>dst[<TAB>relation]`` rows.
+
+    Returns the rows as an (n, 3) int64 array of (src, relation, dst), the
+    relation 0 where the column is absent, and each row's line number. Ids
+    must be non-negative integers; upper bounds are the caller's to check.
+    """
+    rows, lines = [], []
+    for lineno, line in _read_lines(path):
+        parts = line.split("\t")
+        if len(parts) not in (2, 3):
+            raise GraphFormatError("expected src<TAB>dst[<TAB>relation]", path, lineno)
+        u = _parse_int(parts[0], "node id", path, lineno)
+        v = _parse_int(parts[1], "node id", path, lineno)
+        r = _parse_int(parts[2], "relation id", path, lineno) if len(parts) == 3 else 0
+        if u < 0 or v < 0:
+            raise GraphFormatError("node id out of range", path, lineno)
+        if r < 0:
+            raise GraphFormatError("relation id out of range", path, lineno)
+        rows.append((u, r, v))
+        lines.append(lineno)
+    return np.array(rows, dtype=np.int64).reshape(-1, 3), np.array(lines, dtype=np.int64)
 
 
 def load_node_dataset(directory: str) -> NodeDataset:
@@ -213,23 +221,13 @@ def load_node_dataset(directory: str) -> NodeDataset:
             raise GraphFormatError("node id out of range", path, lineno)
 
     edge_path = os.path.join(directory, "edges.tsv")
-    edges = []
-    num_relations = 1
-    for lineno, line in _read_lines(edge_path):
-        parts = line.split("\t")
-        if len(parts) not in (2, 3):
-            raise GraphFormatError("expected src<TAB>dst[<TAB>relation]", edge_path, lineno)
-        u = _parse_int(parts[0], "node id", edge_path, lineno)
-        v = _parse_int(parts[1], "node id", edge_path, lineno)
-        r = _parse_int(parts[2], "relation id", edge_path, lineno) if len(parts) == 3 else 0
-        check_node(u, edge_path, lineno)
-        check_node(v, edge_path, lineno)
-        if r < 0:
-            raise GraphFormatError("relation id out of range", edge_path, lineno)
-        num_relations = max(num_relations, r + 1)
-        edges.append((u, r, v))
-        if u != v:
-            edges.append((v, r, u))
+    rows, lines = read_edge_file(edge_path)
+    too_big = np.flatnonzero(np.maximum(rows[:, 0], rows[:, 2]) >= num_nodes)
+    if too_big.size:
+        raise GraphFormatError("node id out of range", edge_path, int(lines[too_big[0]]))
+    num_relations = max(1, int(rows[:, 1].max(initial=0)) + 1)
+    # (u, r, v) reversed is (v, r, u); a self loop is stored once
+    edges = np.concatenate([rows, rows[rows[:, 0] != rows[:, 2], ::-1]])
 
     label_path = os.path.join(directory, "labels.tsv")
     labels = np.full(num_nodes, -1, dtype=np.int64)
@@ -264,7 +262,7 @@ def load_node_dataset(directory: str) -> NodeDataset:
         raise GraphFormatError(f"split node {int(np.flatnonzero(labelled)[0])} has no label", split_path)
 
     try:
-        graph = Graph(num_nodes, num_relations, edges, directed=False)
+        graph = Graph(num_nodes, num_relations, edges)
     except GraphFormatError as exc:
         raise GraphFormatError(str(exc), edge_path) from None
     return NodeDataset(graph, features, labels, split, num_classes)
@@ -340,20 +338,14 @@ def load_kg_dataset(directory: str, strict: bool = False) -> KgDataset:
     train, valid, test = (to_ids(raw[n]) for n in ("train", "valid", "test"))
     n_rel = len(relation_ids)
 
-    edges = []
-    for h, r, t in train:
-        edges.append((int(h), int(r), int(t)))
-        edges.append((int(t), int(r) + n_rel, int(h)))
     try:
-        graph = Graph(len(entity_ids), 2 * n_rel, edges, directed=True)
+        graph = Graph(len(entity_ids), 2 * n_rel, kg_queries(train, n_rel))
     except GraphFormatError as exc:
         raise GraphFormatError(str(exc), os.path.join(directory, "train.txt")) from None
 
     filter_index: dict[tuple[int, int], set[int]] = {}
-    for split in (train, valid, test):
-        for h, r, t in split:
-            filter_index.setdefault((int(h), int(r)), set()).add(int(t))
-            filter_index.setdefault((int(t), int(r) + n_rel), set()).add(int(h))
+    for e, q, answer in kg_queries(np.concatenate([train, valid, test]), n_rel).tolist():
+        filter_index.setdefault((e, q), set()).add(answer)
 
     entity_names = [None] * len(entity_ids)
     for name, i in entity_ids.items():

@@ -15,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import KgDataset
+from .graph import KgDataset, kg_queries
 from .optim import ParamStore
 from .tape import Tensor, add, matmul, mul, transpose
 
@@ -174,11 +174,7 @@ def kg_filtered_ranks(entity_repr: np.ndarray, relation_weights: np.ndarray,
     against every entity per block, so memory grows with the block and not
     with queries x entities.
     """
-    h, r, t = np.asarray(triples, dtype=np.int64).reshape(-1, 3).T
-    n_rel = len(kg.relation_names)
-    entities = np.stack([h, t], axis=1).reshape(-1)
-    relations = np.stack([r, r + n_rel], axis=1).reshape(-1)
-    targets = np.stack([t, h], axis=1).reshape(-1)
+    entities, relations, targets = kg_queries(triples, len(kg.relation_names)).T
     keys = list(zip(entities.tolist(), relations.tolist()))
     entity_t = np.ascontiguousarray(entity_repr.T)
     block = max(1, _RANK_BLOCK_BYTES // (8 * entity_t.shape[1]))

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .graph import SPLIT_TEST, SPLIT_TRAIN, SPLIT_VAL, KgDataset, NodeDataset
+from .graph import SPLIT_TEST, SPLIT_TRAIN, SPLIT_VAL, KgDataset, NodeDataset, kg_queries
 from .model import MagnaNet, NetworkConfig
 from .optim import Adam, ParamStore
 from .tape import Tensor, gather_rows, no_grad
@@ -229,11 +229,9 @@ def build_kg_model(kg: KgDataset, cfg: NetworkConfig, rng: np.random.Generator,
 def _train_queries(kg: KgDataset) -> tuple[np.ndarray, np.ndarray, list]:
     """Unique (entity, relation) queries over the train split, reverse
     direction included, each with its full tail set."""
-    n_rel = len(kg.relation_names)
     groups: dict[tuple[int, int], set] = {}
-    for h, r, t in kg.train:
-        groups.setdefault((int(h), int(r)), set()).add(int(t))
-        groups.setdefault((int(t), int(r) + n_rel), set()).add(int(h))
+    for e, q, answer in kg_queries(kg.train, len(kg.relation_names)).tolist():
+        groups.setdefault((e, q), set()).add(answer)
     keys = sorted(groups)
     heads = np.array([k[0] for k in keys], dtype=np.int64)
     rels = np.array([k[1] for k in keys], dtype=np.int64)

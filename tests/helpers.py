@@ -64,7 +64,7 @@ def path_graph(n: int = 3) -> Graph:
     for u in range(n - 1):
         edges.append((u, 0, u + 1))
         edges.append((u + 1, 0, u))
-    return Graph(n, 1, edges, directed=False)
+    return Graph(n, 1, edges)
 
 
 def star_graph(leaves: int = 5) -> Graph:
@@ -72,7 +72,7 @@ def star_graph(leaves: int = 5) -> Graph:
     for leaf in range(1, leaves + 1):
         edges.append((leaf, 0, 0))
         edges.append((0, 0, leaf))
-    return Graph(leaves + 1, 1, edges, directed=False)
+    return Graph(leaves + 1, 1, edges)
 
 
 def random_graph(rng: np.random.Generator, n: int, extra_edges: int = 0,
@@ -91,7 +91,7 @@ def random_graph(rng: np.random.Generator, n: int, extra_edges: int = 0,
         r = int(rng.integers(num_relations))
         directed.append((u, r, v))
         directed.append((v, r, u))
-    return Graph(n, num_relations, directed, directed=False).with_self_loops()
+    return Graph(n, num_relations, directed).with_self_loops()
 
 
 def random_attention(rng: np.random.Generator, graph: Graph) -> np.ndarray:
@@ -130,7 +130,7 @@ def separable_node_dataset(seed: int = 0, per_class: int = 10):
     for u, v in sorted(edges):
         directed.append((u, 0, v))
         directed.append((v, 0, u))
-    graph = Graph(n, 1, directed, directed=False)
+    graph = Graph(n, 1, directed)
 
     split = np.full(n, -1, dtype=np.int64)
     order = rng.permutation(n)

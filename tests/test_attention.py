@@ -91,7 +91,7 @@ def test_zero_scoring_vector_gives_uniform_attention(rng):
 
 
 def test_single_edge_score_value():
-    g = Graph(2, 1, [(0, 0, 1)], directed=True)
+    g = Graph(2, 1, [(0, 0, 1)])
     head = scalar_head()
     rel = RelationTable(table=Tensor([[0.1]]))
     h = Tensor([[0.1], [0.1]])
@@ -101,7 +101,7 @@ def test_single_edge_score_value():
 
 
 def test_relation_id_out_of_table_range(rng):
-    g = Graph(2, 2, [(0, 1, 1)], directed=True)
+    g = Graph(2, 2, [(0, 1, 1)])
     head = scalar_head()
     rel = RelationTable(table=Tensor([[0.1]]))  # one relation only
     with pytest.raises(ValueError, match="relation id"):
@@ -113,9 +113,9 @@ def test_relation_id_out_of_table_range(rng):
 
 
 def test_uniform_scores_give_thirds():
-    g = Graph(2, 1, [(0, 0, 1), (1, 0, 1), (1, 0, 0)], directed=True)
+    g = Graph(2, 1, [(0, 0, 1), (1, 0, 1), (1, 0, 0)])
     # node 1 has incoming from 0 and itself? build a clean 3-in case instead
-    g = Graph(4, 1, [(0, 0, 3), (1, 0, 3), (2, 0, 3), (3, 0, 0)], directed=True)
+    g = Graph(4, 1, [(0, 0, 3), (1, 0, 3), (2, 0, 3), (3, 0, 0)])
     att = attention_weights(Tensor(np.zeros((4, 1))), g)
     row = att.data[g.in_indptr[3] : g.in_indptr[4]]
     assert_allclose(row, np.full((3, 1), 1.0 / 3.0))

@@ -61,6 +61,26 @@ def test_analyze_spectrum_path_graph(tmp_path):
     summary = json.load(open(os.path.join(out, "spectrum.json")))
     assert summary["max_eigen_deviation"] <= 1e-10
 
+    # listing each pair in both directions describes the same undirected graph
+    both_file = str(tmp_path / "both.tsv")
+    with open(both_file, "w") as fh:
+        fh.write("0\t1\n1\t0\n1\t2\n2\t1\n")
+    both_out = str(tmp_path / "both_out")
+    assert main(["analyze", "spectrum", "--graph", both_file, "--alpha", "0.5", "--out", both_out]) == 0
+    assert read_csv_rows(os.path.join(both_out, "spectrum.csv")) == read_csv_rows(os.path.join(out, "spectrum.csv"))
+
+
+@pytest.mark.parametrize("content, line", [("0\t1\n1\n", 2), ("0\t1\n\n1\tx\n", 3),
+                                           ("0\t-1\n", 1), ("0\t1\t-2\n", 1)])
+def test_analyze_spectrum_bad_edge_file_names_line(tmp_path, capsys, content, line):
+    graph_file = str(tmp_path / "bad.tsv")
+    with open(graph_file, "w") as fh:
+        fh.write(content)
+    rc = main(["analyze", "spectrum", "--graph", graph_file, "--alpha", "0.5",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"{graph_file}:{line}:" in capsys.readouterr().err
+
 
 def test_train_node_is_byte_deterministic(node_dir, tiny_config, tmp_path):
     outs = []

@@ -11,7 +11,7 @@ from magna.graph import (
     SPLIT_VAL,
     Graph,
     GraphFormatError,
-    incoming_segment,
+    kg_queries,
     load_kg_dataset,
     load_node_dataset,
     save_kg_dataset,
@@ -155,32 +155,31 @@ def test_cora_sizes():
 
 def test_incoming_segment_path():
     g = path_graph(3)
-    seg = incoming_segment(g, 1)
+    seg = range(g.in_indptr[1], g.in_indptr[2])
     assert {(int(g.src[e]), int(g.dst[e])) for e in seg} == {(0, 1), (2, 1)}
 
 
 def test_incoming_segment_isolated_node():
-    g = Graph(3, 1, [(0, 0, 1), (1, 0, 0)], directed=False)
-    assert len(incoming_segment(g, 2)) == 0
+    g = Graph(3, 1, [(0, 0, 1), (1, 0, 0)])
+    assert np.diff(g.in_indptr)[2] == 0
 
 
 def test_incoming_segment_star_center():
     g = star_graph(5)
-    assert len(incoming_segment(g, 0)) == 5
+    assert np.diff(g.in_indptr)[0] == 5
 
 
 def test_segment_lengths_partition_edges():
     g = star_graph(4)
-    total = sum(len(incoming_segment(g, n)) for n in range(g.num_nodes))
-    assert total == g.num_edges
+    assert np.diff(g.in_indptr).sum() == g.num_edges
 
 
 def test_with_self_loops_repairs_isolated_nodes():
-    g = Graph(3, 1, [(0, 0, 1), (1, 0, 0)], directed=False)
+    g = Graph(3, 1, [(0, 0, 1), (1, 0, 0)])
     fixed = g.with_self_loops()
     assert (2, 0, 2) in fixed.edge_list()
     assert fixed.num_edges == 3
-    assert all(fixed.in_degree(n) >= 1 for n in range(3))
+    assert (np.diff(fixed.in_indptr) >= 1).all()
     # idempotent on full graphs
     assert fixed.with_self_loops() is fixed
 
@@ -192,12 +191,20 @@ def test_graph_segments_partition_random(n, seed):
     for _ in range(n * 2):
         u, v = int(rng.integers(n)), int(rng.integers(n))
         edges.add((u, 0, v))
-    g = Graph(n, 1, sorted(edges), directed=True)
-    lengths = [len(incoming_segment(g, i)) for i in range(n)]
-    assert sum(lengths) == g.num_edges
+    edges = sorted(edges)
+    g = Graph(n, 1, edges)
+    # the same edges as a shuffled array build the same graph
+    shuffled = Graph(n, 1, np.array(edges)[rng.permutation(len(edges))])
+    for name in ("src", "rel", "dst", "in_indptr"):
+        assert np.array_equal(getattr(shuffled, name), getattr(g, name))
+    assert np.diff(g.in_indptr).sum() == g.num_edges
     for node in range(n):
-        for e in incoming_segment(g, node):
-            assert g.dst[e] == node
+        assert (g.dst[g.in_indptr[node]:g.in_indptr[node + 1]] == node).all()
+    repeated = edges + [edges[int(rng.integers(len(edges)))]]
+    with pytest.raises(GraphFormatError, match="duplicate"):
+        Graph(n, 1, repeated)
+    with pytest.raises(ValueError, match="rows"):
+        Graph(n, 1, np.array(edges)[:, ::2])  # (src, dst) pairs, no relation column
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +234,16 @@ def test_reverse_of_reverse_is_original(tmp_path):
     d = str(tmp_path / "kg3")
     write_kg(d, [("a", "r1", "b"), ("b", "r2", "c")])
     kg = load_kg_dataset(d)
-    for r in range(kg.num_relations):
-        assert kg.reverse_rel(kg.reverse_rel(r)) == r
+    n_rel = len(kg.relation_names)
+    queries = kg_queries(kg.train, n_rel)
+    assert np.array_equal(queries[0::2], kg.train)
+    # reversing a reverse row and dropping the offset gives the triple back
+    assert np.array_equal(queries[1::2, ::-1] - [0, n_rel, 0], kg.train)
     # every train edge has its reverse in the graph
     edges = set(kg.graph.edge_list())
     for h, r, t in kg.train:
         assert (int(h), int(r), int(t)) in edges
-        assert (int(t), kg.reverse_rel(int(r)), int(h)) in edges
+        assert (int(t), int(r) + n_rel, int(h)) in edges
 
 
 def test_strict_mode_rejects_unseen_entity(tmp_path):
@@ -253,6 +263,10 @@ def test_malformed_kg_line(tmp_path):
     for name in ("valid", "test"):
         open(os.path.join(d, f"{name}.txt"), "w").close()
     with pytest.raises(GraphFormatError, match="train.txt:1"):
+        load_kg_dataset(d)
+    with open(os.path.join(d, "train.txt"), "w") as fh:
+        fh.write("a\tr\tb\nb\tr\tc\na\tr\tb\n")
+    with pytest.raises(GraphFormatError, match="train.txt: duplicate"):
         load_kg_dataset(d)
 
 
@@ -300,7 +314,7 @@ def test_node_dataset_roundtrip_random(n, seed):
         directed.append((u, 0, v))
         if u != v:
             directed.append((v, 0, u))
-    graph = Graph(n, 1, directed, directed=False)
+    graph = Graph(n, 1, directed)
     labels = rng.integers(0, 3, size=n)
     split = rng.integers(-1, 3, size=n)
     ds = NodeDataset(graph, rng.normal(size=(n, 3)), labels, split, num_classes=3)
@@ -311,9 +325,3 @@ def test_node_dataset_roundtrip_random(n, seed):
     assert np.array_equal(again.features, ds.features)
     assert np.array_equal(again.labels, ds.labels)
     assert np.array_equal(again.split, ds.split)
-
-
-def test_incoming_segment_out_of_range():
-    g = path_graph(3)
-    with pytest.raises(GraphFormatError, match="node id out of range"):
-        incoming_segment(g, 3)

@@ -101,7 +101,7 @@ def test_permutation_equivariance(rng):
 
     perm = rng.permutation(n)  # perm[old] = new
     edges_p = [(int(perm[s]), int(r), int(perm[d])) for s, r, d in g.edge_list()]
-    g_p = Graph(n, g.num_relations, edges_p, directed=g.directed)
+    g_p = Graph(n, g.num_relations, edges_p)
     x_p = np.empty_like(x)
     x_p[perm] = x
     net_p, _ = build_net(g_p, 5, cfg, seed=7)  # same seed, identical parameters
