@@ -179,7 +179,7 @@ class DiscrepancyReport:
         }
 
 
-def discrepancy_from_attention(att_values: np.ndarray, graph: Graph, bins: int = 20) -> DiscrepancyReport:
+def discrepancy_from_attention(att_values: np.ndarray, graph: Graph) -> DiscrepancyReport:
     """Per-node distance of the attention row from uniform, degree-normalized.
 
     delta_i = |A[i, :] - U_i|_2 / degree(i) with U_i uniform over i's
@@ -197,15 +197,15 @@ def discrepancy_from_attention(att_values: np.ndarray, graph: Graph, bins: int =
         row = att_values[graph.in_indptr[node] : graph.in_indptr[node + 1]]
         deltas[node] = np.linalg.norm(row - 1.0 / deg) / deg
     top = max(float(deltas.max()), 1e-12)
-    counts, edges = np.histogram(deltas, bins=bins, range=(0.0, top))
+    counts, edges = np.histogram(deltas, bins=20, range=(0.0, top))
     return DiscrepancyReport(per_node=deltas, mean=float(deltas.mean()),
                              bin_edges=edges, bin_counts=counts)
 
 
-def attention_discrepancy(net, features, layer: int, head: int, bins: int = 20) -> DiscrepancyReport:
+def attention_discrepancy(net, features, layer: int, head: int) -> DiscrepancyReport:
     """Discrepancy of one head's one-hop attention in evaluation mode."""
     att = net.one_hop_attention(features, layer, head)
-    return discrepancy_from_attention(att, net.graph, bins=bins)
+    return discrepancy_from_attention(att, net.graph)
 
 
 def learned_attention_spectrum(net, features, layer: int, head: int, alpha: float) -> SpectrumReport:

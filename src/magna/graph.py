@@ -269,14 +269,24 @@ def load_node_dataset(directory: str) -> NodeDataset:
 
 
 def save_node_dataset(ds: NodeDataset, directory: str) -> None:
-    """Write a node dataset back to its TSV directory (inverse of load)."""
+    """Write a node dataset back to its TSV directory (inverse of load).
+
+    ``edges.tsv`` holds undirected edges, so a graph edge without its
+    reverse raises before any file is written.
+    """
+    edges = ds.graph.edge_list()
+    one_way = set(edges) - {(d, r, s) for s, r, d in edges}
+    if one_way:
+        s, r, d = min(one_way)
+        raise GraphFormatError(f"edge ({s}, {r}, {d}) has no reverse ({d}, {r}, {s}); "
+                               "edges.tsv stores undirected edges")
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "features.tsv"), "w", encoding="utf-8") as fh:
         for i, row in enumerate(ds.features):
             fh.write(f"{i}\t{','.join(repr(float(v)) for v in row)}\n")
     with open(os.path.join(directory, "edges.tsv"), "w", encoding="utf-8") as fh:
-        for s, r, d in ds.graph.edge_list():
-            if s <= d:  # undirected storage holds both directions; emit one
+        for s, r, d in edges:
+            if s <= d:  # both directions are present (checked above); emit one
                 fh.write(f"{s}\t{d}\t{r}\n")
     with open(os.path.join(directory, "labels.tsv"), "w", encoding="utf-8") as fh:
         for i, cls in enumerate(ds.labels):
@@ -302,29 +312,24 @@ def _read_triples(path: str) -> list[tuple[str, str, str]]:
     return triples
 
 
-def load_kg_dataset(directory: str, strict: bool = False) -> KgDataset:
+def load_kg_dataset(directory: str) -> KgDataset:
     """Load a KG from train/valid/test triple files.
 
-    String ids are interned in first-appearance order (train first). The
-    graph holds every train triple in both directions: relation ``k`` gets
-    a reverse twin ``k + num_relations``. With ``strict`` set, entities or
-    relations appearing only in valid/test are an error.
+    String ids are interned in first-appearance order (train first), so
+    entities and relations first seen in valid/test get ids too. The graph
+    holds every train triple in both directions: relation ``k`` gets a
+    reverse twin ``k + num_relations``.
     """
     raw = {name: _read_triples(os.path.join(directory, f"{name}.txt")) for name in ("train", "valid", "test")}
 
     entity_ids: dict[str, int] = {}
     relation_ids: dict[str, int] = {}
     for name in ("train", "valid", "test"):
-        path = os.path.join(directory, f"{name}.txt")
         for h, r, t in raw[name]:
             for ent in (h, t):
                 if ent not in entity_ids:
-                    if strict and name != "train":
-                        raise GraphFormatError(f"entity {ent!r} unseen in train", path)
                     entity_ids[ent] = len(entity_ids)
             if r not in relation_ids:
-                if strict and name != "train":
-                    raise GraphFormatError(f"relation {r!r} unseen in train", path)
                 relation_ids[r] = len(relation_ids)
 
     def to_ids(triples):
@@ -347,13 +352,8 @@ def load_kg_dataset(directory: str, strict: bool = False) -> KgDataset:
     for e, q, answer in kg_queries(np.concatenate([train, valid, test]), n_rel).tolist():
         filter_index.setdefault((e, q), set()).add(answer)
 
-    entity_names = [None] * len(entity_ids)
-    for name, i in entity_ids.items():
-        entity_names[i] = name
-    relation_names = [None] * n_rel
-    for name, i in relation_ids.items():
-        relation_names[i] = name
-    return KgDataset(graph, entity_names, relation_names, train, valid, test, filter_index)
+    # ids follow insertion order, so each dict's keys are its names by id
+    return KgDataset(graph, list(entity_ids), list(relation_ids), train, valid, test, filter_index)
 
 
 def save_kg_dataset(kg: KgDataset, directory: str) -> None:

@@ -1,12 +1,13 @@
 """Dense solver and symmetric eigensolver for oracles and spectral analysis.
 
 Both run in float64 regardless of the caller's dtype. They back the exact
-diffusion oracle and the spectrum reports, never the training path, so
-clarity wins over speed: partial-pivot elimination and cyclic Jacobi
-rotations, nothing fancier.
+diffusion oracle and the spectrum reports, never the training path: a
+LAPACK LU solve behind a pivot guard, and cyclic Jacobi rotations.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
@@ -14,10 +15,11 @@ __all__ = ["dense_solve", "sym_eigen", "SingularMatrixError", "AsymmetricMatrixE
 
 _PIVOT_TOL = 1e-12
 _SYM_TOL = 1e-10
+_MAX_SWEEPS = 60
 
 
 class SingularMatrixError(ValueError):
-    """Pivot magnitude fell below tolerance during elimination."""
+    """Pivot magnitude fell below tolerance during LU factorization."""
 
 
 class AsymmetricMatrixError(ValueError):
@@ -25,42 +27,31 @@ class AsymmetricMatrixError(ValueError):
 
 
 def dense_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve M X = B by Gaussian elimination with partial pivoting.
+    """Solve M X = B by LU factorization with partial pivoting.
 
-    B may be a vector or a matrix of right-hand sides.
+    B may be a vector or a matrix of right-hand sides. A pivot below
+    1e-12 in magnitude raises ``SingularMatrixError``; LAPACK alone would
+    return a huge, meaningless solution for such a nearly singular M.
     """
-    m = np.array(m, dtype=np.float64)
-    b = np.array(b, dtype=np.float64)
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve  # about 8 MB resident: load on first use
+    m = np.asarray(m, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"dense_solve: M must be square, got {m.shape}")
-    if m.shape[0] > 2000:
-        raise ValueError("dense_solve is oracle-scale only (n <= 2000)")
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, None]
     if b.shape[0] != m.shape[0]:
         raise ValueError("dense_solve: B row count must match M")
-    n = m.shape[0]
-
-    for k in range(n):
-        pivot_row = k + int(np.argmax(np.abs(m[k:, k])))
-        pivot = m[pivot_row, k]
-        if abs(pivot) < _PIVOT_TOL:
-            raise SingularMatrixError(f"pivot {pivot:.3e} below {_PIVOT_TOL} at column {k}")
-        if pivot_row != k:
-            m[[k, pivot_row]] = m[[pivot_row, k]]
-            b[[k, pivot_row]] = b[[pivot_row, k]]
-        factors = m[k + 1 :, k] / pivot
-        m[k + 1 :, k:] -= factors[:, None] * m[k, k:]
-        b[k + 1 :] -= factors[:, None] * b[k]
-
-    x = np.empty_like(b)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - m[k, k + 1 :] @ x[k + 1 :]) / m[k, k]
-    return x[:, 0] if squeeze else x
+    with warnings.catch_warnings():
+        # an exactly zero pivot is reported by the guard below
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(m)
+    small = np.flatnonzero(np.abs(np.diag(lu)) < _PIVOT_TOL)
+    if small.size:
+        k = int(small[0])
+        raise SingularMatrixError(f"pivot {lu[k, k]:.3e} below {_PIVOT_TOL} at column {k}")
+    return lu_solve((lu, piv), b)
 
 
-def sym_eigen(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
+def sym_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a symmetric matrix by cyclic Jacobi rotations.
 
     Returns (eigenvalues ascending, eigenvectors as columns, orthonormal).
@@ -82,7 +73,7 @@ def sym_eigen(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarr
 
     scale = max(np.max(np.abs(a)), 1.0)
     tol = 1e-14 * scale
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         off = np.max(np.abs(a - np.diag(np.diag(a))))
         if off <= tol:
             break

@@ -60,15 +60,9 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def names(self):
-        return list(self._params)
-
     def zero_grad(self) -> None:
         for p in self._params.values():
             p.grad = None
-
-    def num_values(self) -> int:
-        return sum(p.data.size for p in self._params.values())
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self._params.items()}
@@ -90,14 +84,12 @@ class Adam:
     applied to the parameter before the Adam delta, never mixed into the
     moment estimates."""
 
-    def __init__(self, store: ParamStore, lr: float, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, store: ParamStore, lr: float, weight_decay: float = 0.0):
         self.store = store
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data) for name, p in store.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in store.items()}
@@ -108,8 +100,8 @@ class Adam:
                 raise GradientError(f"non-finite gradient for parameter {name!r}")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - self.BETA1 ** t
+        bc2 = 1.0 - self.BETA2 ** t
         for name, p in self.store.items():
             g = p.grad
             if g is None:
@@ -118,11 +110,11 @@ class Adam:
                 p.data *= 1.0 - self.lr * self.weight_decay
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * (g * g)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
 
 def save_checkpoint(path: str, store: ParamStore, config: dict | None = None) -> None:

@@ -1,7 +1,7 @@
 """Dense matrix values with reverse-mode differentiation over a fixed op set.
 
-Values are numpy arrays (0-d scalars, per-edge vectors, or 2-d matrices;
-float64 by default). Every op checks its result for NaN/Inf, and records a
+Values are float64 numpy arrays (0-d scalars, per-edge vectors, or 2-d
+matrices). Every op checks its result for NaN/Inf, and records a
 backward closure when any input requires gradients. ``Tensor.backward()``
 replays the recorded graph in reverse topological order, accumulating exact
 gradients of a scalar into every reachable tensor with ``requires_grad``.
@@ -35,10 +35,8 @@ __all__ = [
     "dropout",
     "layer_norm",
     "gather_rows",
-    "scatter_add_rows",
     "segment_softmax",
     "edge_spmm",
-    "count_ops",
 ]
 
 
@@ -84,8 +82,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=np.float64):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
         if self.data.ndim > 2:
             raise ValueError(f"tensors are at most 2-d, got shape {self.data.shape}")
         self.grad = None
@@ -135,9 +133,6 @@ class Tensor:
             if t._backward is not None and t.grad is not None:
                 t._backward(t.grad)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
@@ -159,20 +154,6 @@ def _toposort(root: Tensor) -> list:
             order.append(node)
             stack.pop()
     return order
-
-
-def count_ops(root: Tensor, op_name: str) -> int:
-    """Number of distinct nodes named ``op_name`` in the graph below ``root``."""
-    seen, stack, n = set(), [root], 0
-    while stack:
-        t = stack.pop()
-        if id(t) in seen:
-            continue
-        seen.add(id(t))
-        if t.op == op_name:
-            n += 1
-        stack.extend(t._parents)
-    return n
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -370,40 +351,18 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     return Tensor.from_op(out_data, (a,), "gather_rows", backward)
 
 
-def scatter_add_rows(a: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
-    """Row ``i`` of the result sums the rows of ``a`` whose index maps to ``i``."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.shape[0] != a.data.shape[0]:
-        raise ValueError("scatter_add_rows: index length must match row count")
-    out_data = np.zeros((num_rows,) + a.data.shape[1:], dtype=a.data.dtype)
-    np.add.at(out_data, idx, a.data)
-
-    def backward(g):
-        a.accumulate(g[idx])
-
-    return Tensor.from_op(out_data, (a,), "scatter_add_rows", backward)
-
-
 # ---------------------------------------------------------------------------
 # segment helpers (edges sorted by destination; indptr is CSR-style)
 
 
-def _segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+def _segment_reduce(ufunc: np.ufunc, values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """``ufunc`` reduced over each segment's rows; empty segments give 0."""
     starts = indptr[:-1]
     out = np.zeros((len(starts),) + values.shape[1:], dtype=values.dtype)
     nonempty = indptr[1:] > starts
     if values.shape[0] and nonempty.any():
         # consecutive nonempty starts delimit exactly one segment's rows
-        out[nonempty] = np.add.reduceat(values, starts[nonempty], axis=0)
-    return out
-
-
-def _segment_max(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    starts = indptr[:-1]
-    out = np.zeros((len(starts),) + values.shape[1:], dtype=values.dtype)
-    nonempty = indptr[1:] > starts
-    if values.shape[0] and nonempty.any():
-        out[nonempty] = np.maximum.reduceat(values, starts[nonempty], axis=0)
+        out[nonempty] = ufunc.reduceat(values, starts[nonempty], axis=0)
     return out
 
 
@@ -422,14 +381,14 @@ def segment_softmax(scores: Tensor, indptr: np.ndarray) -> Tensor:
     if indptr[-1] != scores.data.shape[0]:
         raise ValueError("segment_softmax: segments must partition the edge list")
     x = scores.data
-    m = _segment_max(x, indptr)
+    m = _segment_reduce(np.maximum, x, indptr)
     e = np.exp(x - _expand_segments(m, indptr))
-    s = _segment_sum(e, indptr)
+    s = _segment_reduce(np.add, e, indptr)
     out_data = e / _expand_segments(s, indptr)
 
     def backward(g):
         gy = g * out_data
-        seg = _segment_sum(gy, indptr)
+        seg = _segment_reduce(np.add, gy, indptr)
         scores.accumulate(gy - out_data * _expand_segments(seg, indptr))
 
     return Tensor.from_op(out_data, (scores,), "segment_softmax", backward)

@@ -136,6 +136,33 @@ def _streams(seed: int, n: int = 3) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
+def _fit(task: str, train_cfg: TrainConfig, store: ParamStore, start: float,
+         run_epoch, validate, test) -> TrainReport:
+    """The early-stopping loop behind both trainers. ``run_epoch(optimizer)``
+    trains one epoch and returns its loss; ``validate()`` and ``test()``
+    score the current parameters (higher is better)."""
+    optimizer = Adam(store, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
+    stopper = EarlyStopper(train_cfg.window)
+    report = TrainReport(task=task, seed=train_cfg.seed)
+    best_params = store.snapshot()
+
+    for epoch in range(1, train_cfg.epoch_cap(task) + 1):
+        report.train_loss.append(run_epoch(optimizer))
+        val = validate()
+        report.val_metric.append(val)
+        if stopper.update(epoch, val):
+            best_params = store.snapshot()
+        if stopper.should_stop:
+            break
+
+    store.restore(best_params)
+    report.best_epoch = stopper.best_epoch
+    report.best_val = stopper.best
+    report.test_metric = test()
+    report.wall_seconds = time.monotonic() - start
+    return report
+
+
 # ---------------------------------------------------------------------------
 # node classification
 
@@ -172,32 +199,19 @@ def train_node_classifier(dataset: NodeDataset, net_cfg: NetworkConfig,
     start = time.monotonic()
     init_rng, drop_rng, _ = _streams(train_cfg.seed)
     model = build_node_model(dataset, net_cfg, init_rng)
-    optimizer = Adam(model.store, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
-    stopper = EarlyStopper(train_cfg.window)
-    report = TrainReport(task="node", seed=train_cfg.seed)
     train_mask = dataset.mask(SPLIT_TRAIN)
-    best_params = model.store.snapshot()
 
-    for epoch in range(1, train_cfg.epoch_cap("node") + 1):
+    def run_epoch(optimizer: Adam) -> float:
         model.store.zero_grad()
         logits = model.logits(training=True, rng=drop_rng)
         loss, _ = cross_entropy_loss(logits, dataset.labels, train_mask)
         loss.backward()
         optimizer.step()
-        report.train_loss.append(float(loss.data))
+        return float(loss.data)
 
-        val_acc = node_accuracy(model, dataset, SPLIT_VAL)
-        report.val_metric.append(val_acc)
-        if stopper.update(epoch, val_acc):
-            best_params = model.store.snapshot()
-        if stopper.should_stop:
-            break
-
-    model.store.restore(best_params)
-    report.best_epoch = stopper.best_epoch
-    report.best_val = stopper.best
-    report.test_metric = node_accuracy(model, dataset, SPLIT_TEST)
-    report.wall_seconds = time.monotonic() - start
+    report = _fit("node", train_cfg, model.store, start, run_epoch,
+                  lambda: node_accuracy(model, dataset, SPLIT_VAL),
+                  lambda: node_accuracy(model, dataset, SPLIT_TEST))
     return report, model
 
 
@@ -253,13 +267,9 @@ def train_kg(kg: KgDataset, net_cfg: NetworkConfig, train_cfg: TrainConfig,
     start = time.monotonic()
     init_rng, drop_rng, shuffle_rng = _streams(train_cfg.seed)
     model = build_kg_model(kg, net_cfg, init_rng, entity_dim=entity_dim)
-    optimizer = Adam(model.store, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
-    stopper = EarlyStopper(train_cfg.window)
-    report = TrainReport(task="kg", seed=train_cfg.seed)
     heads, rels, tails = _train_queries(kg)
-    best_params = model.store.snapshot()
 
-    for epoch in range(1, train_cfg.epoch_cap("kg") + 1):
+    def run_epoch(optimizer: Adam) -> float:
         order = shuffle_rng.permutation(len(heads))
         epoch_loss = 0.0
         for lo in range(0, len(order), train_cfg.batch_size):
@@ -278,21 +288,9 @@ def train_kg(kg: KgDataset, net_cfg: NetworkConfig, train_cfg: TrainConfig,
             loss.backward()
             optimizer.step()
             epoch_loss += float(loss.data) * len(batch)
-        report.train_loss.append(epoch_loss / len(heads))
+        return epoch_loss / len(heads)
 
-        val_mrr = kg_validation_mrr(model, kg.valid)
-        report.val_metric.append(val_mrr)
-        if stopper.update(epoch, val_mrr):
-            best_params = model.store.snapshot()
-        if stopper.should_stop:
-            break
-
-    model.store.restore(best_params)
-    report.best_epoch = stopper.best_epoch
-    report.best_val = stopper.best
-    with no_grad():
-        entity = model.entity_repr().data
-    test_ranks = kg_filtered_ranks(entity, model.decoder.relations.data, kg, kg.test)
-    report.test_metric = ranking_metrics(test_ranks).mrr
-    report.wall_seconds = time.monotonic() - start
+    report = _fit("kg", train_cfg, model.store, start, run_epoch,
+                  lambda: kg_validation_mrr(model, kg.valid),
+                  lambda: kg_validation_mrr(model, kg.test))
     return report, model

@@ -58,6 +58,20 @@ def check_grad(build_loss, params: dict, rtol: float = FD_RTOL) -> None:
         assert err <= rtol, f"gradient mismatch for {name}: rel error {err:.3e}"
 
 
+def count_ops(root: Tensor, op_name: str) -> int:
+    """Number of distinct nodes named ``op_name`` in the graph below ``root``."""
+    seen, stack, n = set(), [root], 0
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if t.op == op_name:
+            n += 1
+        stack.extend(t._parents)
+    return n
+
+
 def path_graph(n: int = 3) -> Graph:
     """Undirected path 0-1-...-n-1 stored in both directions, one relation."""
     edges = []

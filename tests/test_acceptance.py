@@ -240,10 +240,6 @@ def _op_cases(rng):
     idx = np.array([0, 2, 3, 3, 1])
     p55 = rng.normal(size=(5, 5))
     tcase("gather_rows", lambda: proj_loss(tape.gather_rows(x, idx), p55), {"x": x})
-    sc = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-    p43 = rng.normal(size=(4, 3))
-    tcase("scatter_add_rows", lambda: proj_loss(tape.scatter_add_rows(sc, idx[:5] % 4, 4), p43),
-          {"sc": sc})
     seg_scores = Tensor(rng.normal(size=(graph.num_edges, 1)), requires_grad=True)
     pe = rng.normal(size=(graph.num_edges, 1))
     tcase("segment_softmax", lambda: proj_loss(tape.segment_softmax(seg_scores, graph.in_indptr), pe),

@@ -11,6 +11,7 @@ from magna.graph import (
     SPLIT_VAL,
     Graph,
     GraphFormatError,
+    NodeDataset,
     kg_queries,
     load_kg_dataset,
     load_node_dataset,
@@ -134,6 +135,15 @@ def test_node_roundtrip(tmp_path):
     assert np.array_equal(again.split, ds.split)
 
 
+def test_save_rejects_one_way_edge(tmp_path):
+    one_way = NodeDataset(Graph(2, 1, [(1, 0, 0)]), np.eye(2), np.array([0, 1]),
+                          np.array([SPLIT_TRAIN, SPLIT_VAL]), num_classes=2)
+    out = tmp_path / "one_way"
+    with pytest.raises(GraphFormatError, match=r"edge \(1, 0, 0\) has no reverse"):
+        save_node_dataset(one_way, str(out))
+    assert not out.exists()
+
+
 def test_cora_sizes():
     path = require_dataset("cora")
     ds = load_node_dataset(path)
@@ -246,13 +256,13 @@ def test_reverse_of_reverse_is_original(tmp_path):
         assert (int(t), int(r) + n_rel, int(h)) in edges
 
 
-def test_strict_mode_rejects_unseen_entity(tmp_path):
+def test_entity_first_seen_in_valid_is_interned(tmp_path):
     d = str(tmp_path / "kg4")
     write_kg(d, [("a", "r", "b")], valid=[("a", "r", "zzz")])
-    with pytest.raises(GraphFormatError, match="unseen in train"):
-        load_kg_dataset(d, strict=True)
-    kg = load_kg_dataset(d, strict=False)
+    kg = load_kg_dataset(d)
     assert kg.num_entities == 3
+    assert kg.entity_names == ["a", "b", "zzz"]
+    assert kg.valid.tolist() == [[0, 0, 2]]
 
 
 def test_malformed_kg_line(tmp_path):

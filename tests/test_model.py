@@ -5,9 +5,9 @@ from numpy.testing import assert_allclose
 from magna.graph import Graph
 from magna.model import MagnaNet, NetworkConfig
 from magna.optim import ParamStore
-from magna.tape import Tensor, count_ops
+from magna.tape import Tensor
 
-from helpers import check_grad, proj_loss, random_graph
+from helpers import check_grad, count_ops, proj_loss, random_graph
 
 
 def small_cfg(**over):
