@@ -26,7 +26,6 @@ from .tape import (
     layer_norm,
     leaky_relu,
     matmul,
-    scale,
     segment_softmax,
     slice_cols,
     tanh,
@@ -142,13 +141,12 @@ def attention_weights(scores: Tensor, graph) -> Tensor:
 def attention_diffusion(att: Tensor, h: Tensor, cfg: DiffusionConfig, graph) -> Tensor:
     """K-step iterative approximation of the diffused aggregation.
 
-    Differentiable through every iteration; cost is hops * E * cols.
+    One ``edge_spmm`` tape node per head runs all K hops and differentiates
+    through every one of them; cost is hops * E * cols. It keeps the K hop
+    states when the attention gradient is recorded, and none under
+    ``no_grad``.
     """
-    teleport = scale(h, cfg.alpha)
-    z = h
-    for _ in range(cfg.hops):
-        z = add(scale(edge_spmm(att, z, graph), 1.0 - cfg.alpha), teleport)
-    return z
+    return edge_spmm(att, h, graph, cfg.hops, cfg.alpha)
 
 
 def exact_diffusion_oracle(a_dense: np.ndarray, alpha: float) -> np.ndarray:

@@ -25,7 +25,6 @@ __all__ = [
     "transpose",
     "add",
     "mul",
-    "scale",
     "concat_cols",
     "slice_cols",
     "leaky_relu",
@@ -222,15 +221,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor.from_op(out_data, (a, b), "mul", backward)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def backward(g):
-        a.accumulate(g * c)
-
-    return Tensor.from_op(a.data * c, (a,), "scale", backward)
-
-
 def concat_cols(tensors) -> Tensor:
     tensors = list(tensors)
     rows = {t.data.shape[0] for t in tensors}
@@ -394,14 +384,36 @@ def segment_softmax(scores: Tensor, indptr: np.ndarray) -> Tensor:
     return Tensor.from_op(out_data, (scores,), "segment_softmax", backward)
 
 
-def edge_spmm(att: Tensor, h: Tensor, graph) -> Tensor:
-    """Aggregate ``h`` rows along edges: out[i] = sum over edges (j,k,i) of att_e * h[j].
+# edges per block of the attention adjoint: a row-dot over a cache-sized block
+# gives the same bits as over the whole edge list, and runs faster
+_EDGE_BLOCK = 512
 
-    ``att`` is per-edge, shape (E, 1), aligned with ``graph`` edge order
-    (sorted by destination). Cost is linear in edges times columns: the
-    product and its adjoint run through a CSR view of the edge layout
-    (``src``, ``in_indptr``); the per-edge attention gradient is a sampled
-    row-dot of the up- and downstream features.
+
+def _edge_row_dot(g: np.ndarray, z: np.ndarray, graph) -> np.ndarray:
+    """Per-edge (g[dst] * z[src]).sum(axis=1), shape (E, 1), one edge block at a time."""
+    out = np.empty((graph.num_edges, 1))
+    for e0 in range(0, graph.num_edges, _EDGE_BLOCK):
+        e1 = e0 + _EDGE_BLOCK
+        np.sum(g[graph.dst[e0:e1]] * z[graph.src[e0:e1]], axis=1, keepdims=True, out=out[e0:e1])
+    return out
+
+
+def edge_spmm(att: Tensor, h: Tensor, graph, hops: int = 1, alpha: float = 0.0) -> Tensor:
+    """``hops`` steps of Z <- (1-alpha) A Z + alpha H from Z_0 = H, as one tape node.
+
+    A is the per-edge attention as a sparse matrix: (A Z)[i] sums att_e * Z[j]
+    over edges (j, k, i). ``att`` is per-edge, shape (E, 1), aligned with
+    ``graph`` edge order (sorted by destination). The defaults give the
+    one-hop product A H. Cost is hops * E * cols: the CSR view of the edge
+    layout (``src``, ``in_indptr``) is built once per call, and the hops run
+    in place with the arithmetic of a scale-then-add chain.
+
+    The adjoint runs the same recursion backward, last hop first: with
+    gs = (1-alpha) G, hop k adds the sampled row-dot gs[dst] . Z_{k-1}[src]
+    to the attention gradient and passes G <- A^T gs down; H receives
+    alpha times the summed G, then A^T gs of the first hop. Only the
+    attention gradient needs the hop states, so Z_0 .. Z_{K-1} are kept
+    when a gradient of ``att`` is recorded, and none are under ``no_grad``.
     """
     if att.data.ndim != 2 or att.data.shape[1] != 1:
         raise ValueError("edge_spmm: attention must have shape (E, 1)")
@@ -409,16 +421,42 @@ def edge_spmm(att: Tensor, h: Tensor, graph) -> Tensor:
         raise ValueError("edge_spmm: attention length must equal edge count")
     if h.data.shape[0] != graph.num_nodes:
         raise ValueError("edge_spmm: feature rows must equal node count")
+    if hops < 1:
+        raise ValueError(f"edge_spmm: hop count must be >= 1, got {hops}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"edge_spmm: alpha must be in [0, 1], got {alpha}")
     n = graph.num_nodes
     matrix = sparse.csr_matrix(
         (att.data[:, 0], graph.src, graph.in_indptr), shape=(n, n)
     )
-    out_data = matrix @ h.data
+    keep = 1.0 - alpha
+    teleport = h.data * alpha if alpha else None
+    states = [] if _grad_enabled and att.requires_grad else None
+    z = h.data
+    for _ in range(hops):
+        if states is not None:
+            states.append(z)
+        z = matrix @ z
+        if alpha:
+            z *= keep
+            z += teleport
 
     def backward(g):
-        if att.requires_grad:
-            att.accumulate((g[graph.dst] * h.data[graph.src]).sum(axis=1, keepdims=True))
+        g_hop, g_sum = g, None
+        for k in reversed(range(hops)):
+            if alpha and h.requires_grad:
+                if g_sum is None:
+                    g_sum = g_hop.copy()
+                else:
+                    g_sum += g_hop
+            gs = g_hop * keep
+            if att.requires_grad:
+                att.accumulate(_edge_row_dot(gs, states[k], graph))
+            if k or h.requires_grad:
+                g_hop = matrix.T @ gs
         if h.requires_grad:
-            h.accumulate(matrix.T @ g)
+            if alpha:
+                h.accumulate(g_sum * alpha)
+            h.accumulate(g_hop)
 
-    return Tensor.from_op(out_data, (att, h), "edge_spmm", backward)
+    return Tensor.from_op(z, (att, h), "edge_spmm", backward)

@@ -58,18 +58,23 @@ def check_grad(build_loss, params: dict, rtol: float = FD_RTOL) -> None:
         assert err <= rtol, f"gradient mismatch for {name}: rel error {err:.3e}"
 
 
-def count_ops(root: Tensor, op_name: str) -> int:
-    """Number of distinct nodes named ``op_name`` in the graph below ``root``."""
-    seen, stack, n = set(), [root], 0
+def ops_named(root: Tensor, op_name: str) -> list:
+    """The distinct nodes named ``op_name`` in the graph below ``root``."""
+    seen, stack, found = set(), [root], []
     while stack:
         t = stack.pop()
         if id(t) in seen:
             continue
         seen.add(id(t))
         if t.op == op_name:
-            n += 1
+            found.append(t)
         stack.extend(t._parents)
-    return n
+    return found
+
+
+def count_ops(root: Tensor, op_name: str) -> int:
+    """Number of distinct nodes named ``op_name`` in the graph below ``root``."""
+    return len(ops_named(root, op_name))
 
 
 def path_graph(n: int = 3) -> Graph:

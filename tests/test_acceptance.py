@@ -217,7 +217,6 @@ def _op_cases(rng):
     y = Tensor(rng.normal(size=(1, 5)), requires_grad=True)
     tcase("add_bias", lambda: proj_loss(tape.add(x, y), p45), {"x": x, "y": y})
     tcase("mul", lambda: proj_loss(tape.mul(x, x), p45), {"x": x})
-    tcase("scale", lambda: proj_loss(tape.scale(x, 0.37), p45), {"x": x})
     p54 = rng.normal(size=(5, 4))
     tcase("transpose", lambda: proj_loss(tape.transpose(x), p54), {"x": x})
     tcase("tanh", lambda: proj_loss(tape.tanh(x), p45), {"x": x})
@@ -249,6 +248,14 @@ def _op_cases(rng):
     pn3 = rng.normal(size=(graph.num_nodes, 3))
     tcase("edge_spmm", lambda: proj_loss(tape.edge_spmm(att, feat, graph), pn3),
           {"att": att, "feat": feat})
+    tcase("edge_spmm_hops", lambda: proj_loss(tape.edge_spmm(att, feat, graph, 4, 0.3), pn3),
+          {"att": att, "feat": feat})
+    att_only = Tensor(att.data, requires_grad=True)
+    tcase("edge_spmm_hops_att", lambda: proj_loss(tape.edge_spmm(att_only, Tensor(feat.data), graph, 4, 0.3),
+                                                  pn3), {"att": att_only})
+    feat_only = Tensor(feat.data, requires_grad=True)
+    tcase("edge_spmm_hops_feat", lambda: proj_loss(tape.edge_spmm(Tensor(att.data), feat_only, graph, 4, 0.3),
+                                                   pn3), {"feat": feat_only})
     logits = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
     labels = rng.integers(0, 6, size=4)
     tcase("cross_entropy", lambda: cross_entropy_loss(logits, labels, np.ones(4, bool))[0],

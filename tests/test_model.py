@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from magna.attention import dense_attention
 from magna.graph import Graph
 from magna.model import MagnaNet, NetworkConfig
 from magna.optim import ParamStore
 from magna.tape import Tensor
 
-from helpers import check_grad, count_ops, proj_loss, random_graph
+from helpers import check_grad, count_ops, ops_named, proj_loss, random_graph
 
 
 def small_cfg(**over):
@@ -62,12 +63,21 @@ def test_gat_recovery_is_structural(rng):
     assert count_ops(out, "relu") == 0
 
 
-def test_full_block_uses_hops_times_heads_aggregations(rng):
+def test_full_block_runs_one_diffusion_node_per_head(rng):
     g = random_graph(rng, 7, extra_edges=5)
     cfg = small_cfg(blocks=1)
     net, _ = build_net(g, 3, cfg)
     out = net.forward(Tensor(rng.normal(size=(7, 3)), requires_grad=True))
-    assert count_ops(out, "edge_spmm") == cfg.heads * cfg.hops
+    nodes = ops_named(out, "edge_spmm")
+    assert len(nodes) == cfg.heads
+    # each node holds its head's K-step recursion Z <- (1-a) A Z + a H
+    for node in nodes:
+        att, h = node._parents
+        a_dense = dense_attention(g, att.data)
+        z = h.data
+        for _ in range(cfg.hops):
+            z = (1.0 - cfg.alpha) * (a_dense @ z) + cfg.alpha * h.data
+        assert_allclose(node.data, z, rtol=1e-12, atol=1e-12)
 
 
 def test_depth_sweep_stays_finite(rng):

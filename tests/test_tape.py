@@ -7,7 +7,16 @@ from numpy.testing import assert_allclose
 from magna import tape
 from magna.tape import NonFiniteError, Tensor
 
-from helpers import check_grad, count_ops, finite_diff_grad, path_graph, proj_loss, rel_error
+from helpers import (
+    check_grad,
+    count_ops,
+    finite_diff_grad,
+    path_graph,
+    proj_loss,
+    random_attention,
+    random_graph,
+    rel_error,
+)
 
 
 def uniform_path_attention():
@@ -99,6 +108,50 @@ def test_edge_spmm_zero_attention_gives_zero():
     assert_allclose(out.data, np.zeros((3, 2)))
 
 
+def test_edge_spmm_rejects_bad_hops_and_alpha():
+    g, att = uniform_path_attention()
+    h = Tensor(np.ones((3, 1)))
+    with pytest.raises(ValueError, match="hop count"):
+        tape.edge_spmm(Tensor(att), h, g, 0, 0.1)
+    for alpha in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="alpha"):
+            tape.edge_spmm(Tensor(att), h, g, 2, alpha)
+
+
+def _scale_add_chain(att, h, g, hops, alpha):
+    """The K-hop diffusion as one-hop products, scalings and sums, one tape
+    node each: the chain that ``edge_spmm(att, h, g, hops, alpha)`` fuses."""
+    teleport = tape.mul(h, Tensor([[alpha]]))
+    z = h
+    for _ in range(hops):
+        z = tape.add(tape.mul(tape.edge_spmm(att, z, g), Tensor([[1.0 - alpha]])), teleport)
+    return z
+
+
+@pytest.mark.parametrize("alpha", [0.1, 1.0])
+@pytest.mark.parametrize("hops", [1, 3, 6])
+def test_edge_spmm_hops_match_scale_add_chain_bitwise(rng, hops, alpha):
+    g = random_graph(rng, 300, extra_edges=300)  # several blocks of the attention adjoint
+    att_values = random_attention(rng, g)
+    att_values[rng.random(g.num_edges) < 0.3] = 0.0  # entries as attention dropout leaves them
+    h_values = rng.normal(size=(g.num_nodes, 5))
+    proj = rng.normal(size=(g.num_nodes, 5))
+    results = []
+    for diffuse in (tape.edge_spmm, _scale_add_chain):
+        att, h = Tensor(att_values, requires_grad=True), Tensor(h_values, requires_grad=True)
+        out = diffuse(att, h, g, hops, alpha)
+        # the residual gives h a third gradient term, so its summation order shows
+        proj_loss(tape.add(out, h), proj).backward()
+        with tape.no_grad():
+            plain = diffuse(Tensor(att_values, requires_grad=True), Tensor(h_values, requires_grad=True),
+                            g, hops, alpha)
+        assert not plain.requires_grad
+        results.append((out.data, att.grad, h.grad, plain.data))
+        assert count_ops(out, "edge_spmm") == (1 if diffuse is tape.edge_spmm else hops)
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
 def test_non_finite_forward_raises():
     big = Tensor([[1e308]])
     with np.errstate(over="ignore"):
@@ -158,12 +211,6 @@ def test_grad_mul_broadcast_column(rng):
     b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     proj = rng.normal(size=(4, 3))
     check_grad(lambda: proj_loss(tape.mul(a, b), proj), {"a": a, "b": b})
-
-
-def test_grad_scale(rng):
-    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    proj = rng.normal(size=(2, 3))
-    check_grad(lambda: proj_loss(tape.scale(a, -0.7), proj), {"a": a})
 
 
 def test_grad_concat_and_slice(rng):
@@ -231,6 +278,14 @@ def test_grad_edge_spmm(rng):
     h = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     proj = rng.normal(size=(4, 3))
     check_grad(lambda: proj_loss(tape.edge_spmm(att, h, g), proj), {"att": att, "h": h})
+    check_grad(lambda: proj_loss(tape.edge_spmm(att, h, g, 4, 0.3), proj), {"att": att, "h": h})
+    # the K-hop adjoint with only one input differentiated
+    for name in ("att", "h"):
+        leaves = {"att": Tensor(att.data, requires_grad=name == "att"),
+                  "h": Tensor(h.data, requires_grad=name == "h")}
+        check_grad(lambda: proj_loss(tape.edge_spmm(leaves["att"], leaves["h"], g, 4, 0.3), proj),
+                   {name: leaves[name]})
+        assert all(t.grad is None for key, t in leaves.items() if key != name)
 
 
 def test_backward_accumulates_through_shared_subexpression(rng):
