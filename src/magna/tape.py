@@ -4,7 +4,12 @@ Values are float64 numpy arrays (0-d scalars, per-edge vectors, or 2-d
 matrices). Every op checks its result for NaN/Inf, and records a
 backward closure when any input requires gradients. ``Tensor.backward()``
 replays the recorded graph in reverse topological order, accumulating exact
-gradients of a scalar into every reachable tensor with ``requires_grad``.
+gradients of a scalar into every reachable leaf with ``requires_grad``.
+
+A graph is replayed once. Each op result drops its closure and its gradient
+as soon as its adjoint has run, so the values the closures hold (hop states,
+softmax rows) are freed during backward rather than when the graph dies;
+only leaves keep their gradients. Replaying a consumed graph raises.
 
 There is deliberately no general autodiff here: the vocabulary is the handful
 of ops the architecture needs, so every adjoint is short enough to audit.
@@ -74,8 +79,8 @@ def _check_finite(data: np.ndarray, op: str) -> None:
 class Tensor:
     """A value on the tape.
 
-    ``grad`` is populated by ``backward()`` and has the same shape as
-    ``data``. Tensors created by ops keep references to their parents only
+    ``grad`` is populated by ``backward()`` on leaves and has the same shape
+    as ``data``. Tensors created by ops keep references to their parents only
     while gradients are required, so evaluation-mode forwards hold no tape.
     """
 
@@ -123,14 +128,25 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into every reachable ``requires_grad`` tensor."""
+        """Accumulate d(self)/d(leaf) into every reachable ``requires_grad`` leaf.
+
+        Consumes the graph: each op result's adjoint runs once, after which
+        its closure and gradient are dropped. Raises ``RuntimeError`` before
+        running any adjoint if the graph reaches an op result already
+        consumed by an earlier ``backward()``.
+        """
         if self.data.size != 1:
             raise ValueError("backward() starts from a scalar loss")
         order = _toposort(self)
+        if any(t._parents and t._backward is None for t in order):
+            raise RuntimeError("backward() reached a graph that an earlier backward() consumed")
         self.grad = np.ones_like(self.data)
         for t in reversed(order):
-            if t._backward is not None and t.grad is not None:
+            if t._backward is None:
+                continue  # a leaf keeps its gradient
+            if t.grad is not None:
                 t._backward(t.grad)
+            t._backward = t.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op!r}, requires_grad={self.requires_grad})"

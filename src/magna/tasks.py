@@ -118,16 +118,32 @@ def smoothed_targets(tail_sets, num_entities: int, eps: float) -> np.ndarray:
 
 
 def kl_label_smoothing_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean KL(target || softmax(logits)) per row; zero iff they coincide."""
+    """Mean KL(target || softmax(logits)) per row; zero iff they coincide.
+
+    Rows are as wide as the entity count, so the log-softmax, the softmax
+    and the per-entry terms are each built in one buffer, in place, with the
+    arithmetic of ``_log_softmax``; only the softmax outlives the call. The
+    adjoint overwrites it with the gradient. ``targets`` is only read.
+    """
     if logits.data.shape != targets.shape:
         raise ValueError(f"shape mismatch: logits {logits.data.shape} vs targets {targets.shape}")
-    logp, p = _log_softmax(logits.data)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        entropy = np.where(targets > 0, targets * np.log(targets), 0.0)
-    loss_val = float((entropy - targets * logp).sum(axis=1).mean())
+    z = logits.data
+    logp = z - z.max(axis=1, keepdims=True)
+    p = np.exp(logp)
+    s = p.sum(axis=1, keepdims=True)
+    p /= s
+    logp -= np.log(s)
+    # terms = t log t - t logp, with t log t = 0 where t = 0
+    terms = np.log(targets, out=np.zeros_like(targets), where=targets > 0)
+    terms *= targets
+    logp *= targets
+    terms -= logp
+    loss_val = float(terms.sum(axis=1).mean())
 
     def backward(g):
-        logits.accumulate((float(g) / targets.shape[0]) * (p - targets))
+        np.subtract(p, targets, out=p)
+        np.multiply(p, float(g) / targets.shape[0], out=p)
+        logits.accumulate(p)
 
     return Tensor.from_op(np.asarray(loss_val), (logits,), "kl_smoothed", backward)
 

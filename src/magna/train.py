@@ -269,25 +269,29 @@ def train_kg(kg: KgDataset, net_cfg: NetworkConfig, train_cfg: TrainConfig,
     model = build_kg_model(kg, net_cfg, init_rng, entity_dim=entity_dim)
     heads, rels, tails = _train_queries(kg)
 
+    def run_step(optimizer: Adam, batch: np.ndarray) -> float:
+        """One step on ``batch``; returns its loss times its size. The step's
+        graph dies on return, before the next step builds its own."""
+        # built per batch: all queries at once would take queries x entities
+        targets = smoothed_targets([tails[i] for i in batch], kg.num_entities,
+                                   train_cfg.label_smoothing)
+        model.store.zero_grad()
+        entity = model.entity_repr(training=True, rng=drop_rng)
+        scores = distmult_scores(
+            gather_rows(entity, heads[batch]),
+            gather_rows(model.decoder.relations, rels[batch]),
+            entity,
+        )
+        loss = kl_label_smoothing_loss(scores, targets)
+        loss.backward()
+        optimizer.step()
+        return float(loss.data) * len(batch)
+
     def run_epoch(optimizer: Adam) -> float:
         order = shuffle_rng.permutation(len(heads))
         epoch_loss = 0.0
         for lo in range(0, len(order), train_cfg.batch_size):
-            batch = order[lo : lo + train_cfg.batch_size]
-            # built per batch: all queries at once would take queries x entities
-            targets = smoothed_targets([tails[i] for i in batch], kg.num_entities,
-                                       train_cfg.label_smoothing)
-            model.store.zero_grad()
-            entity = model.entity_repr(training=True, rng=drop_rng)
-            scores = distmult_scores(
-                gather_rows(entity, heads[batch]),
-                gather_rows(model.decoder.relations, rels[batch]),
-                entity,
-            )
-            loss = kl_label_smoothing_loss(scores, targets)
-            loss.backward()
-            optimizer.step()
-            epoch_loss += float(loss.data) * len(batch)
+            epoch_loss += run_step(optimizer, order[lo : lo + train_cfg.batch_size])
         return epoch_loss / len(heads)
 
     report = _fit("kg", train_cfg, model.store, start, run_epoch,

@@ -4,6 +4,8 @@ The finite-difference gradient is the independent check for every tape op
 and for end-to-end training graphs; it only ever evaluates forward passes.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from magna.graph import Graph
@@ -58,23 +60,38 @@ def check_grad(build_loss, params: dict, rtol: float = FD_RTOL) -> None:
         assert err <= rtol, f"gradient mismatch for {name}: rel error {err:.3e}"
 
 
-def ops_named(root: Tensor, op_name: str) -> list:
-    """The distinct nodes named ``op_name`` in the graph below ``root``."""
+def graph_nodes(root: Tensor) -> list:
+    """The distinct nodes in the graph below ``root``, ``root`` included."""
     seen, stack, found = set(), [root], []
     while stack:
         t = stack.pop()
         if id(t) in seen:
             continue
         seen.add(id(t))
-        if t.op == op_name:
-            found.append(t)
+        found.append(t)
         stack.extend(t._parents)
     return found
+
+
+def ops_named(root: Tensor, op_name: str) -> list:
+    """The distinct nodes named ``op_name`` in the graph below ``root``."""
+    return [t for t in graph_nodes(root) if t.op == op_name]
 
 
 def count_ops(root: Tensor, op_name: str) -> int:
     """Number of distinct nodes named ``op_name`` in the graph below ``root``."""
     return len(ops_named(root, op_name))
+
+
+def peak_traced_bytes(fn) -> int:
+    """Peak bytes held by allocations made while ``fn()`` runs, as traced by
+    ``tracemalloc`` (numpy buffers included)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def path_graph(n: int = 3) -> Graph:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,13 +7,17 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from magna import tape
+from magna.model import MagnaNet, NetworkConfig
+from magna.optim import ParamStore
 from magna.tape import NonFiniteError, Tensor
 
 from helpers import (
     check_grad,
     count_ops,
     finite_diff_grad,
+    graph_nodes,
     path_graph,
+    peak_traced_bytes,
     proj_loss,
     random_attention,
     random_graph,
@@ -296,3 +302,86 @@ def test_backward_accumulates_through_shared_subexpression(rng):
     loss.backward()
     numeric = finite_diff_grad(lambda: float(2 * np.tanh(x.data).sum()), x.data)
     assert rel_error(x.grad, numeric) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# one replay per graph
+
+
+def _replay_keeping_graph(root: Tensor) -> None:
+    """Backward as it ran before graphs were released: every adjoint runs,
+    and every op result keeps its closure and gradient."""
+    order = tape._toposort(root)
+    root.grad = np.ones_like(root.data)
+    for t in reversed(order):
+        if t._backward is not None and t.grad is not None:
+            t._backward(t.grad)
+
+
+def _network_loss(seed: int):
+    """A dropout-trained two-block network under a projection loss, and its leaves."""
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, 12, extra_edges=10)
+    cfg = NetworkConfig(blocks=2, dim=4, heads=2, alpha=0.3, hops=3, relation_dim=3,
+                        dropout_attention=0.2, dropout_feature=0.2)
+    store = ParamStore()
+    net = MagnaNet(cfg, g, 5, store, rng)
+    x = Tensor(rng.normal(size=(12, 5)), requires_grad=True)
+    out = net.forward(x, training=True, rng=rng)
+    return proj_loss(out, rng.normal(size=out.shape)), [x] + [p for _, p in store.items()]
+
+
+def test_backward_releases_op_results_and_keeps_leaf_gradients():
+    loss, leaves = _network_loss(0)
+    loss.backward()
+    op_results = [t for t in graph_nodes(loss) if t._parents]
+    assert count_ops(loss, "edge_spmm") > 0
+    assert all(t.grad is None and t._backward is None for t in op_results)
+    kept_loss, kept_leaves = _network_loss(0)
+    _replay_keeping_graph(kept_loss)
+    for leaf, kept in zip(leaves, kept_leaves):
+        assert leaf.grad is not None
+        assert np.array_equal(leaf.grad, kept.grad)
+
+
+def test_backward_frees_hop_states_while_root_is_held(rng):
+    hops = 6
+    g = random_graph(rng, 400, extra_edges=400)
+    att_values = random_attention(rng, g)
+    h_values = rng.normal(size=(g.num_nodes, 16))
+    proj = rng.normal(size=(g.num_nodes, 16))
+    held = []
+
+    def forward_backward():
+        att = Tensor(att_values, requires_grad=True)
+        h = Tensor(h_values, requires_grad=True)
+        loss = proj_loss(tape.edge_spmm(att, h, g, hops, 0.1), proj)
+        held.append(tracemalloc.get_traced_memory()[0])
+        loss.backward()
+        held.append(tracemalloc.get_traced_memory()[0])
+
+    peak_traced_bytes(forward_backward)
+    before, after = held
+    # the states Z_1 .. Z_{K-1} and the CSR matrix go; the leaf gradients
+    # (one state, and one value per edge) come
+    assert before - after > (hops - 3) * h_values.nbytes
+
+
+def test_second_backward_on_consumed_graph_raises(rng):
+    x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    loss = proj_loss(tape.tanh(x), np.ones((3, 3)))
+    loss.backward()
+    grad = x.grad.copy()
+    with pytest.raises(RuntimeError, match="consumed"):
+        loss.backward()
+    assert np.array_equal(x.grad, grad)
+
+
+def test_new_loss_on_consumed_intermediate_raises(rng):
+    x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    y = tape.tanh(x)
+    proj_loss(y, np.ones((3, 3))).backward()
+    grad = x.grad.copy()
+    with pytest.raises(RuntimeError, match="consumed"):
+        proj_loss(tape.mul(y, y), np.ones((3, 3))).backward()
+    assert np.array_equal(x.grad, grad)

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from magna import tasks
-from magna.tape import Tensor
+from magna.tape import Tensor, mul
 from magna.tasks import (
     cross_entropy_loss,
     distmult_scores,
@@ -18,7 +16,7 @@ from magna.tasks import (
     smoothed_targets,
 )
 
-from helpers import check_grad, compositional_kg
+from helpers import check_grad, compositional_kg, peak_traced_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +155,59 @@ def test_kl_nonnegative_random(rng):
         assert float(loss.data) >= 0.0
 
 
+def _kl_loss_with_fresh_arrays(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """The KL loss with every step in a fresh array, as it was before
+    ``kl_label_smoothing_loss`` ran in place."""
+    z = logits.data
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=1, keepdims=True)
+    logp, p = (z - m) - np.log(s), e / s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        entropy = np.where(targets > 0, targets * np.log(targets), 0.0)
+    loss_val = float((entropy - targets * logp).sum(axis=1).mean())
+
+    def backward(g):
+        logits.accumulate((float(g) / targets.shape[0]) * (p - targets))
+
+    return Tensor.from_op(np.asarray(loss_val), (logits,), "kl_smoothed", backward)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.0])
+def test_kl_in_place_matches_fresh_array_formula_bitwise(rng, eps):
+    tails = [set(rng.choice(50, size=int(rng.integers(1, 4)), replace=False)) for _ in range(7)]
+    targets = smoothed_targets(tails, 50, eps)
+    assert (targets == 0).any() == (eps == 0.0)  # eps = 0 leaves zeros for the log to skip
+    original = targets.copy()
+    logits_values = 3.0 * rng.normal(size=targets.shape)
+    results = []
+    for loss_fn in (kl_label_smoothing_loss, _kl_loss_with_fresh_arrays):
+        logits = Tensor(logits_values, requires_grad=True)
+        loss = loss_fn(logits, targets)
+        assert np.array_equal(targets, original)
+        # an upstream gradient other than one, so the adjoint's scaling shows
+        mul(loss, Tensor(np.asarray(0.7))).backward()
+        assert np.array_equal(targets, original)
+        results.append((loss.data, logits.grad))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
+def test_kl_loss_peak_memory_is_three_rows_of_buffers(rng):
+    targets = smoothed_targets([{i, 3 * i} for i in range(1, 9)], 20_000, 0.1)
+    logits_values = rng.normal(size=targets.shape)
+
+    def forward_backward(loss_fn):
+        loss_fn(Tensor(logits_values, requires_grad=True), targets).backward()
+
+    in_place = peak_traced_bytes(lambda: forward_backward(kl_label_smoothing_loss))
+    fresh = peak_traced_bytes(lambda: forward_backward(_kl_loss_with_fresh_arrays))
+    # log-softmax, softmax and terms, plus the one-byte `targets > 0` mask;
+    # the fresh-array formula holds six arrays of that size at its peak
+    assert in_place < 3.25 * targets.nbytes
+    assert fresh > 5 * targets.nbytes
+
+
 def test_empty_tail_set_rejected():
     with pytest.raises(ValueError, match="empty tail set"):
         smoothed_targets([set()], 4, 0.1)
@@ -290,16 +341,8 @@ def test_kg_rank_memory_grows_with_block_not_queries_times_entities(rng, tmp_pat
     relw = rng.normal(size=(kg.num_relations, 4))
     monkeypatch.setattr(tasks, "_RANK_BLOCK_BYTES", 8 * kg.num_entities * 4)
 
-    def peak_bytes(triples):
-        tracemalloc.start()
-        try:
-            kg_filtered_ranks(entity, relw, kg, triples)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    once = peak_bytes(kg.valid)
-    four_times = peak_bytes(np.tile(kg.valid, (4, 1)))
+    once = peak_traced_bytes(lambda: kg_filtered_ranks(entity, relw, kg, kg.valid))
+    four_times = peak_traced_bytes(lambda: kg_filtered_ranks(entity, relw, kg, np.tile(kg.valid, (4, 1))))
     extra_queries = 2 * 3 * len(kg.valid)
     # holding every score row would add 8 * num_entities bytes per query
     assert four_times - once < extra_queries * 8 * kg.num_entities / 4

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from magna import train
 from magna.graph import SPLIT_TRAIN, NodeDataset
 from magna.model import NetworkConfig
 from magna.optim import load_checkpoint, save_checkpoint
@@ -16,7 +17,7 @@ from magna.train import (
     train_node_classifier,
 )
 
-from helpers import compositional_kg, separable_node_dataset
+from helpers import compositional_kg, peak_traced_bytes, separable_node_dataset
 
 TOY_NET = NetworkConfig(blocks=2, dim=16, heads=2, alpha=0.3, hops=3, relation_dim=4,
                         dropout_attention=0.1, dropout_feature=0.1)
@@ -175,6 +176,31 @@ def test_kg_same_seed_determinism(toy_kg):
     r1, _ = train_kg(toy_kg, KG_NET, small, entity_dim=16)
     r2, _ = train_kg(toy_kg, KG_NET, small, entity_dim=16)
     assert reports_equal_modulo_wall(r1, r2)
+
+
+def test_kg_training_holds_one_step_at_a_time(toy_kg, monkeypatch):
+    class Stopped(Exception):
+        pass
+
+    def peak_over_steps(steps: int) -> int:
+        class StoppingAdam(train.Adam):
+            def step(self):
+                super().step()
+                if self.step_count == steps:
+                    raise Stopped
+
+        monkeypatch.setattr(train, "Adam", StoppingAdam)
+
+        def run():
+            with pytest.raises(Stopped):
+                train_kg(toy_kg, KG_NET, dataclasses.replace(KG_TRAIN, batch_size=16), entity_dim=16)
+
+        return peak_traced_bytes(run)
+
+    # 90 train queries: steps 1 to 4 are full batches of 16. A step that
+    # still held its predecessor's graph peaked about 25% above one step here
+    one_step = peak_over_steps(1)
+    assert peak_over_steps(4) < 1.1 * one_step
 
 
 def test_kg_test_triples_never_influence_training(tmp_path):
