@@ -66,10 +66,14 @@ class DistMultDecoder:
 
 
 def _log_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    s = e.sum(axis=1, keepdims=True)
-    return (z - m) - np.log(s), e / s
+    """Row-wise log-softmax and softmax of ``z``, each built in place in one
+    buffer from the shifted rows."""
+    logp = z - z.max(axis=1, keepdims=True)
+    p = np.exp(logp)
+    s = p.sum(axis=1, keepdims=True)
+    p /= s
+    logp -= np.log(s)
+    return logp, p
 
 
 def cross_entropy_loss(logits: Tensor, labels: np.ndarray, mask: np.ndarray) -> tuple[Tensor, float]:
@@ -120,19 +124,13 @@ def smoothed_targets(tail_sets, num_entities: int, eps: float) -> np.ndarray:
 def kl_label_smoothing_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean KL(target || softmax(logits)) per row; zero iff they coincide.
 
-    Rows are as wide as the entity count, so the log-softmax, the softmax
-    and the per-entry terms are each built in one buffer, in place, with the
-    arithmetic of ``_log_softmax``; only the softmax outlives the call. The
-    adjoint overwrites it with the gradient. ``targets`` is only read.
+    Rows are as wide as the entity count, so the per-entry terms are built
+    in one buffer, in place; only the softmax outlives the call. The adjoint
+    overwrites it with the gradient. ``targets`` is only read.
     """
     if logits.data.shape != targets.shape:
         raise ValueError(f"shape mismatch: logits {logits.data.shape} vs targets {targets.shape}")
-    z = logits.data
-    logp = z - z.max(axis=1, keepdims=True)
-    p = np.exp(logp)
-    s = p.sum(axis=1, keepdims=True)
-    p /= s
-    logp -= np.log(s)
+    logp, p = _log_softmax(logits.data)
     # terms = t log t - t logp, with t log t = 0 where t = 0
     terms = np.log(targets, out=np.zeros_like(targets), where=targets > 0)
     terms *= targets

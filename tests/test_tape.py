@@ -17,7 +17,6 @@ from helpers import (
     finite_diff_grad,
     graph_nodes,
     path_graph,
-    peak_traced_bytes,
     proj_loss,
     random_attention,
     random_graph,
@@ -350,18 +349,16 @@ def test_backward_frees_hop_states_while_root_is_held(rng):
     att_values = random_attention(rng, g)
     h_values = rng.normal(size=(g.num_nodes, 16))
     proj = rng.normal(size=(g.num_nodes, 16))
-    held = []
-
-    def forward_backward():
+    tracemalloc.start()
+    try:
         att = Tensor(att_values, requires_grad=True)
         h = Tensor(h_values, requires_grad=True)
         loss = proj_loss(tape.edge_spmm(att, h, g, hops, 0.1), proj)
-        held.append(tracemalloc.get_traced_memory()[0])
+        before = tracemalloc.get_traced_memory()[0]
         loss.backward()
-        held.append(tracemalloc.get_traced_memory()[0])
-
-    peak_traced_bytes(forward_backward)
-    before, after = held
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
     # the states Z_1 .. Z_{K-1} and the CSR matrix go; the leaf gradients
     # (one state, and one value per edge) come
     assert before - after > (hops - 3) * h_values.nbytes

@@ -6,7 +6,7 @@ import pytest
 from magna import train
 from magna.graph import SPLIT_TRAIN, NodeDataset
 from magna.model import NetworkConfig
-from magna.optim import load_checkpoint, save_checkpoint
+from magna.optim import Adam, load_checkpoint, save_checkpoint
 from magna.tasks import cross_entropy_loss
 from magna.train import (
     EarlyStopper,
@@ -183,7 +183,7 @@ def test_kg_training_holds_one_step_at_a_time(toy_kg, monkeypatch):
         pass
 
     def peak_over_steps(steps: int) -> int:
-        class StoppingAdam(train.Adam):
+        class StoppingAdam(Adam):
             def step(self):
                 super().step()
                 if self.step_count == steps:
