@@ -326,9 +326,11 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     """Per-row normalization with learnable per-feature affine parameters."""
     x = a.data
     mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
+    # the steps of ``x.var``, with the centred rows kept and scaled in place
+    xhat = x - mu
+    var = (xhat * xhat).sum(axis=1, keepdims=True) / x.shape[1]
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    xhat *= inv
     out_data = xhat * gamma.data + beta.data
 
     def backward(g):

@@ -2,10 +2,11 @@
 
 The losses are tape ops with hand-derived adjoints (softmax minus target),
 so the finite-difference checks cover them like any architecture op. Ranking
-evaluation is pure numpy: a block of (entity, relation) queries is scored
-against all entities in one matrix product, each row is filtered against
-every known-true answer except its own target, and ties count at half
-weight.
+evaluation is pure numpy: queries are grouped by (entity, relation) key, a
+block of distinct keys is scored against all entities in one matrix product,
+each key's row is filtered once against its known-true answers, and each
+query counts its rank on its key's row, never losing its own target; ties
+count at half weight.
 """
 
 from __future__ import annotations
@@ -109,12 +110,16 @@ def distmult_scores(head_repr: Tensor, relation_vec: Tensor, all_entities: Tenso
 
 
 def smoothed_targets(tail_sets, num_entities: int, eps: float) -> np.ndarray:
-    """Target rows: (1-eps) uniform over true tails plus eps uniform overall."""
+    """Target rows: (1-eps) uniform over true tails plus eps uniform overall.
+
+    Each tail set is a set or an array of distinct entity ids, in any order.
+    """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"label smoothing must be in [0, 1), got {eps}")
     targets = np.full((len(tail_sets), num_entities), eps / num_entities)
     for i, tails in enumerate(tail_sets):
-        tails = np.asarray(sorted(tails), dtype=np.int64)
+        if not isinstance(tails, np.ndarray):
+            tails = np.fromiter(tails, dtype=np.int64, count=len(tails))
         if tails.size == 0:
             raise ValueError(f"empty tail set at row {i}")
         targets[i, tails] += (1.0 - eps) / tails.size
@@ -146,28 +151,32 @@ def kl_label_smoothing_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
     return Tensor.from_op(np.asarray(loss_val), (logits,), "kl_smoothed", backward)
 
 
-# Bytes of float64 scores per query block in ``kg_filtered_ranks``, about
+# Bytes of float64 scores per key block in ``kg_filtered_ranks``, about
 # 51 rows at WN18RR shape. On a 2-core Xeon with one BLAS thread, 1 MB
 # blocks ranked 2x slower and 4-16 MB ones alike; larger blocks only add
 # peak memory.
 _RANK_BLOCK_BYTES = 2**24
 
 
-def _rank_rows(scores: np.ndarray, targets: np.ndarray, known_rows: np.ndarray,
-               known_cols: np.ndarray) -> np.ndarray:
-    """Filtered rank of ``targets[i]`` within row ``i`` of ``scores``.
+def _rank_rows(scores: np.ndarray, rows: np.ndarray, targets: np.ndarray,
+               known_rows: np.ndarray, known_cols: np.ndarray) -> np.ndarray:
+    """Filtered rank of ``targets[j]`` within row ``rows[j]`` of ``scores``.
 
     The entries ``(known_rows, known_cols)`` are known-true answers and are
-    removed, except a row's own target; ties count half each. ``scores`` is
+    removed, except a query's own target; ties count half each. ``scores`` is
     overwritten.
     """
-    s_target = scores[np.arange(len(targets)), targets][:, None]
-    other = known_cols != targets[known_rows]
-    # NaN compares false with everything, so a removed entry never counts
-    scores[known_rows[other], known_cols[other]] = np.nan
-    greater = np.count_nonzero(scores > s_target, axis=1)
-    ties = np.count_nonzero(scores == s_target, axis=1) - 1
-    return 1.0 + greater + ties / 2.0
+    s_target = scores[rows, targets]
+    # NaN compares false with everything, so a removed entry never counts;
+    # a target is read before it can be removed and is never its own tie
+    scores[known_rows, known_cols] = np.nan
+    ranks = np.empty(len(targets))
+    for j, (i, t, s) in enumerate(zip(rows.tolist(), targets.tolist(), s_target.tolist())):
+        row = scores[i]
+        # counts over a flat row; with ``axis`` numpy takes a slower path
+        ties = np.count_nonzero(row == s) - int(row[t] == s)
+        ranks[j] = 1.0 + np.count_nonzero(row > s) + ties / 2.0
+    return ranks
 
 
 def filtered_rank(scores: np.ndarray, target: int, known: set) -> float:
@@ -175,7 +184,8 @@ def filtered_rank(scores: np.ndarray, target: int, known: set) -> float:
     answers; ties count half each."""
     row = np.array(scores, dtype=np.float64).reshape(1, -1)
     cols = np.fromiter(known, dtype=np.int64, count=len(known))
-    return float(_rank_rows(row, np.array([target]), np.zeros_like(cols), cols)[0])
+    return float(_rank_rows(row, np.zeros(1, dtype=np.int64), np.array([target]),
+                            np.zeros_like(cols), cols)[0])
 
 
 def kg_filtered_ranks(entity_repr: np.ndarray, relation_weights: np.ndarray,
@@ -184,22 +194,32 @@ def kg_filtered_ranks(entity_repr: np.ndarray, relation_weights: np.ndarray,
     replaces the tail, ``ranks[2i+1]`` the head, scored through the reverse
     relation.
 
-    Queries are scored in blocks of ``_RANK_BLOCK_BYTES``, one product
-    against every entity per block, so memory grows with the block and not
-    with queries x entities.
+    Queries that share an (entity, relation) key share a score row and a
+    filter set, so each distinct key is scored and filtered once. Keys are
+    scored in blocks of ``_RANK_BLOCK_BYTES``, one product against every
+    entity per block, so memory grows with the block and not with
+    queries x entities.
     """
+    num_rel = 2 * len(kg.relation_names)
     entities, relations, targets = kg_queries(triples, len(kg.relation_names)).T
-    keys = list(zip(entities.tolist(), relations.tolist()))
+    keys, key_of = np.unique(entities * num_rel + relations, return_inverse=True)
+    key_entities, key_relations = np.divmod(keys, num_rel)
+    by_key = np.argsort(key_of, kind="stable")
+    sorted_keys = key_of[by_key]
     entity_t = np.ascontiguousarray(entity_repr.T)
     block = max(1, _RANK_BLOCK_BYTES // (8 * entity_t.shape[1]))
     ranks = np.empty(len(targets))
-    for lo in range(0, len(targets), block):
+    for lo in range(0, len(keys), block):
         rows = slice(lo, lo + block)
-        known = [kg.filter_index.get(key, ()) for key in keys[rows]]
+        known = [kg.filter_index.get(key, ())
+                 for key in zip(key_entities[rows].tolist(), key_relations[rows].tolist())]
         known_rows = np.repeat(np.arange(len(known)), [len(k) for k in known])
         known_cols = np.fromiter(chain.from_iterable(known), dtype=np.int64, count=known_rows.size)
-        scores = (entity_repr[entities[rows]] * relation_weights[relations[rows]]) @ entity_t
-        ranks[rows] = _rank_rows(scores, targets[rows], known_rows, known_cols)
+        in_block = slice(*np.searchsorted(sorted_keys, [lo, lo + block]))
+        queries = by_key[in_block]
+        scores = (entity_repr[key_entities[rows]] * relation_weights[key_relations[rows]]) @ entity_t
+        ranks[queries] = _rank_rows(scores, sorted_keys[in_block] - lo, targets[queries],
+                                    known_rows, known_cols)
     return ranks
 
 

@@ -242,14 +242,14 @@ def build_kg_model(kg: KgDataset, cfg: NetworkConfig, rng: np.random.Generator,
 
 def _train_queries(kg: KgDataset) -> tuple[np.ndarray, np.ndarray, list]:
     """Unique (entity, relation) queries over the train split, reverse
-    direction included, each with its full tail set."""
+    direction included, each with its full tail set as an int64 array."""
     groups: dict[tuple[int, int], set] = {}
     for e, q, answer in kg_queries(kg.train, len(kg.relation_names)).tolist():
         groups.setdefault((e, q), set()).add(answer)
     keys = sorted(groups)
     heads = np.array([k[0] for k in keys], dtype=np.int64)
     rels = np.array([k[1] for k in keys], dtype=np.int64)
-    tails = [groups[k] for k in keys]
+    tails = [np.fromiter(groups[k], dtype=np.int64, count=len(groups[k])) for k in keys]
     return heads, rels, tails
 
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from magna.graph import Graph
 from magna.tape import Tensor
+from magna.tasks import filtered_rank
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
@@ -92,6 +93,26 @@ def peak_traced_bytes(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def brute_force_rank(scores, target, known):
+    candidates = [i for i in range(len(scores)) if i == target or i not in known]
+    better = sum(1 for c in candidates if scores[c] > scores[target])
+    tied = sum(1 for c in candidates if scores[c] == scores[target])
+    # average rank over all tie orderings
+    return better + (tied + 1) / 2.0
+
+
+def per_query_ranks(entity, relw, kg, triples):
+    """Reference ranker: one mat-vec and one ``filtered_rank`` per rank, in
+    ``kg_filtered_ranks`` order (tail replaced, then head via the reverse)."""
+    n_rel = len(kg.relation_names)
+    out = []
+    for h, r, t in np.asarray(triples).tolist():
+        for e, q, target in ((h, r, t), (t, r + n_rel, h)):
+            scores = (entity[e] * relw[q]) @ entity.T
+            out.append(filtered_rank(scores, target, kg.filter_index.get((e, q), set())))
+    return np.array(out)
 
 
 def path_graph(n: int = 3) -> Graph:

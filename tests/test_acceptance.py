@@ -27,6 +27,7 @@ from magna.train import TrainConfig, train_kg, train_node_classifier
 
 from conftest import require_dataset
 from helpers import (
+    brute_force_rank,
     check_grad,
     compositional_kg,
     proj_loss,
@@ -34,7 +35,6 @@ from helpers import (
     random_graph,
     separable_node_dataset,
 )
-from test_tasks import brute_force_rank
 
 CORA_NET = NetworkConfig(
     blocks=2, dim=64, heads=8, alpha=0.1, hops=6, relation_dim=8,

@@ -263,6 +263,38 @@ def test_grad_layer_norm(rng):
     )
 
 
+def _layer_norm_with_var(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """``tape.layer_norm`` as written with ``x.var`` and a fresh centred array."""
+    x = a.data
+    inv = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + eps)
+    xhat = (x - x.mean(axis=1, keepdims=True)) * inv
+
+    def backward(g):
+        gamma.accumulate((g * xhat).sum(axis=0, keepdims=True))
+        beta.accumulate(g.sum(axis=0, keepdims=True))
+        gg = g * gamma.data
+        m1 = gg.mean(axis=1, keepdims=True)
+        m2 = (gg * xhat).mean(axis=1, keepdims=True)
+        a.accumulate((gg - m1 - xhat * m2) * inv)
+
+    return Tensor.from_op(xhat * gamma.data + beta.data, (a, gamma, beta), "layer_norm", backward)
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (2708, 64), (4094, 32)])
+def test_layer_norm_matches_var_formula_bitwise(rng, shape):
+    x = 3.0 + 10.0 * rng.normal(size=shape)
+    gamma_values, beta_values = rng.normal(size=(2, 1, shape[1]))
+    proj = rng.normal(size=shape)
+    results = []
+    for op in (tape.layer_norm, _layer_norm_with_var):
+        params = [Tensor(v, requires_grad=True) for v in (x, gamma_values, beta_values)]
+        out = op(*params)
+        proj_loss(out, proj).backward()
+        results.append([out.data] + [p.grad for p in params])
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
 def test_grad_gather_rows(rng):
     a = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
     idx = np.array([0, 2, 2, 4, 1, 0])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from magna import tasks
+from magna.graph import kg_queries
 from magna.tape import Tensor, mul
 from magna.tasks import (
     cross_entropy_loss,
@@ -16,7 +17,7 @@ from magna.tasks import (
     smoothed_targets,
 )
 
-from helpers import check_grad, compositional_kg, peak_traced_bytes
+from helpers import brute_force_rank, check_grad, compositional_kg, peak_traced_bytes, per_query_ranks
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +209,12 @@ def test_kl_loss_peak_memory_is_three_rows_of_buffers(rng):
     assert fresh > 5 * targets.nbytes
 
 
+def test_tail_arrays_in_any_order_give_the_set_targets():
+    want = smoothed_targets([{7, 2, 30}, {4}], 40, 0.1)
+    got = smoothed_targets([np.array([30, 2, 7]), np.array([4])], 40, 0.1)
+    assert np.array_equal(got, want)
+
+
 def test_empty_tail_set_rejected():
     with pytest.raises(ValueError, match="empty tail set"):
         smoothed_targets([set()], 4, 0.1)
@@ -241,14 +248,6 @@ def test_filtering_removes_known_answers():
     assert filtered_rank(scores, 2, {0, 1, 2}) == 1.0
 
 
-def brute_force_rank(scores, target, known):
-    candidates = [i for i in range(len(scores)) if i == target or i not in known]
-    better = sum(1 for c in candidates if scores[c] > scores[target])
-    tied = sum(1 for c in candidates if scores[c] == scores[target])
-    # average rank over all tie orderings
-    return better + (tied + 1) / 2.0
-
-
 @given(st.integers(2, 40), st.integers(0, 10_000), st.booleans())
 def test_rank_matches_brute_force(n, seed, quantize):
     rng = np.random.default_rng(seed)
@@ -273,18 +272,6 @@ def test_kg_ranks_match_brute_force_oracle(rng, tmp_path):
         assert ranks[2 * i] == brute_force_rank(tail_scores, t, kg.filter_index[(h, r)])
         head_scores = (entity[t] * relw[r + n_rel]) @ entity.T
         assert ranks[2 * i + 1] == brute_force_rank(head_scores, h, kg.filter_index[(t, r + n_rel)])
-
-
-def per_query_ranks(entity, relw, kg, triples):
-    """Reference ranker: one mat-vec and one ``filtered_rank`` per rank, in
-    ``kg_filtered_ranks`` order (tail replaced, then head via the reverse)."""
-    n_rel = len(kg.relation_names)
-    out = []
-    for h, r, t in np.asarray(triples).tolist():
-        for e, q, target in ((h, r, t), (t, r + n_rel, h)):
-            scores = (entity[e] * relw[q]) @ entity.T
-            out.append(filtered_rank(scores, target, kg.filter_index.get((e, q), set())))
-    return np.array(out)
 
 
 @pytest.fixture
@@ -325,6 +312,41 @@ def test_kg_ranks_without_other_known_answers(quantized_kg):
     for i, (h, r, t) in enumerate(triples.tolist()):
         assert ranks[2 * i] == brute_force_rank((entity[h] * relw[r]) @ entity.T, t, set())
         assert ranks[2 * i + 1] == brute_force_rank((entity[t] * relw[r + n_rel]) @ entity.T, h, set())
+
+
+@pytest.mark.parametrize("block_keys", [None, 1, 3])
+def test_kg_ranks_of_queries_sharing_a_key(rng, tmp_path, block_keys, monkeypatch):
+    # four bridges give the key (a_i, r1) four queries, more than a block of
+    # one or three keys holds
+    kg = compositional_kg(str(tmp_path / "kg"), bridges=4)
+    if block_keys is not None:
+        monkeypatch.setattr(tasks, "_RANK_BLOCK_BYTES", 8 * kg.num_entities * block_keys)
+    ent, rel = kg.entity_names.index, kg.relation_names.index
+    entity = rng.normal(size=(kg.num_entities, 4))
+    relw = rng.normal(size=(kg.num_relations, 4))
+    # equal rows score exactly the same under every key: b0_0 and b0_1 are
+    # both known tails of (a0, r1); a0 and a1 are unknown tails of (c0, r1)
+    entity[ent("b0_1")] = entity[ent("b0_0")]
+    entity[ent("a1")] = entity[ent("a0")]
+    made_up = np.array([[ent("c0"), rel("r1"), ent("a0")], [ent("c0"), rel("r1"), ent("a1")]])
+    assert (ent("c0"), rel("r1")) not in kg.filter_index
+    twice = np.repeat(kg.valid[:1], 2, axis=0)
+    triples = np.concatenate([kg.train, made_up, twice])
+    assert sum(h == ent("a0") and r == rel("r1") for h, r, _ in triples.tolist()) == 4
+
+    ranks = kg_filtered_ranks(entity, relw, kg, triples)
+    assert np.array_equal(ranks, per_query_ranks(entity, relw, kg, triples))
+    for rank, (e, q, target) in zip(ranks, kg_queries(triples, len(kg.relation_names)).tolist()):
+        known = kg.filter_index.get((e, q), set())
+        assert rank == brute_force_rank((entity[e] * relw[q]) @ entity.T, target, known)
+    # each tied known tail filters the other
+    tied = [2 * i for i, (h, r, t) in enumerate(triples.tolist())
+            if (h, r) == (ent("a0"), rel("r1")) and t in (ent("b0_0"), ent("b0_1"))]
+    assert len(tied) == 2 and ranks[tied[0]] == ranks[tied[1]]
+    # neither made-up target filters the other: each ties with it at half weight
+    made_up_ranks = ranks[2 * len(kg.train):][:4:2]
+    assert made_up_ranks[0] == made_up_ranks[1] and made_up_ranks[0] % 1 == 0.5
+    assert np.array_equal(ranks[-4:-2], ranks[-2:])
 
 
 def test_kg_ranks_of_empty_split(quantized_kg):
