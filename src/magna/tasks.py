@@ -202,6 +202,8 @@ def kg_filtered_ranks(entity_repr: np.ndarray, relation_weights: np.ndarray,
     """
     num_rel = 2 * len(kg.relation_names)
     entities, relations, targets = kg_queries(triples, len(kg.relation_names)).T
+    if ((relations < 0) | (relations >= num_rel)).any():
+        raise ValueError("kg_filtered_ranks: relation id out of range")
     keys, key_of = np.unique(entities * num_rel + relations, return_inverse=True)
     key_entities, key_relations = np.divmod(keys, num_rel)
     by_key = np.argsort(key_of, kind="stable")

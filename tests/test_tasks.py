@@ -339,14 +339,24 @@ def test_kg_ranks_of_queries_sharing_a_key(rng, tmp_path, block_keys, monkeypatc
     for rank, (e, q, target) in zip(ranks, kg_queries(triples, len(kg.relation_names)).tolist()):
         known = kg.filter_index.get((e, q), set())
         assert rank == brute_force_rank((entity[e] * relw[q]) @ entity.T, target, known)
-    # each tied known tail filters the other
+    # each tied known tail filters the other, so neither rank is split
     tied = [2 * i for i, (h, r, t) in enumerate(triples.tolist())
             if (h, r) == (ent("a0"), rel("r1")) and t in (ent("b0_0"), ent("b0_1"))]
-    assert len(tied) == 2 and ranks[tied[0]] == ranks[tied[1]]
+    assert len(tied) == 2 and ranks[tied[0]] == ranks[tied[1]] and ranks[tied[0]] % 1 == 0
     # neither made-up target filters the other: each ties with it at half weight
     made_up_ranks = ranks[2 * len(kg.train):][:4:2]
     assert made_up_ranks[0] == made_up_ranks[1] and made_up_ranks[0] % 1 == 0.5
     assert np.array_equal(ranks[-4:-2], ranks[-2:])
+
+
+@pytest.mark.parametrize("relation", [-1, 3])
+def test_kg_ranks_reject_relation_out_of_range(quantized_kg, relation):
+    # the key folds the relation into one integer, so a bad id must not
+    # alias another key's row
+    kg, entity, relw = quantized_kg
+    assert len(kg.relation_names) == 3
+    with pytest.raises(ValueError, match="relation id out of range"):
+        kg_filtered_ranks(entity, relw, kg, np.array([[0, relation, 1]]))
 
 
 def test_kg_ranks_of_empty_split(quantized_kg):
