@@ -242,15 +242,14 @@ def build_kg_model(kg: KgDataset, cfg: NetworkConfig, rng: np.random.Generator,
 
 def _train_queries(kg: KgDataset) -> tuple[np.ndarray, np.ndarray, list]:
     """Unique (entity, relation) queries over the train split, reverse
-    direction included, each with its full tail set as an int64 array."""
-    groups: dict[tuple[int, int], set] = {}
-    for e, q, answer in kg_queries(kg.train, len(kg.relation_names)).tolist():
-        groups.setdefault((e, q), set()).add(answer)
-    keys = sorted(groups)
-    heads = np.array([k[0] for k in keys], dtype=np.int64)
-    rels = np.array([k[1] for k in keys], dtype=np.int64)
-    tails = [np.fromiter(groups[k], dtype=np.int64, count=len(groups[k])) for k in keys]
-    return heads, rels, tails
+    direction included, in sorted order, each with its full tail set as an
+    int64 array."""
+    q = kg_queries(kg.train, len(kg.relation_names))
+    q = q[np.lexsort(q.T[::-1])]  # by entity, then relation, then answer
+    q = q[np.r_[True, (q[1:] != q[:-1]).any(axis=1)]]  # a repeated triple is one tail
+    bounds = np.flatnonzero(np.r_[True, (q[1:, :2] != q[:-1, :2]).any(axis=1), True])
+    tails = [q[lo:hi, 2] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    return q[bounds[:-1], 0], q[bounds[:-1], 1], tails
 
 
 def kg_validation_mrr(model: KgModel, triples: np.ndarray) -> float:

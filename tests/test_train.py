@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from magna import train
-from magna.graph import SPLIT_TRAIN, NodeDataset
+from magna.graph import SPLIT_TRAIN, NodeDataset, kg_queries
 from magna.model import NetworkConfig
 from magna.optim import Adam, load_checkpoint, save_checkpoint
 from magna.tasks import cross_entropy_loss
@@ -147,6 +147,16 @@ def test_divergence_aborts_with_parameter_name():
 @pytest.fixture(scope="module")
 def toy_kg(tmp_path_factory):
     return compositional_kg(str(tmp_path_factory.mktemp("kg")))
+
+
+def test_train_queries_match_grouping_into_sets(toy_kg):
+    groups = {}
+    for e, q, answer in kg_queries(toy_kg.train, len(toy_kg.relation_names)).tolist():
+        groups.setdefault((e, q), set()).add(answer)
+    heads, rels, tails = train._train_queries(toy_kg)
+    assert list(zip(heads.tolist(), rels.tolist())) == sorted(groups)
+    for key, got in zip(sorted(groups), tails):
+        assert got.dtype == np.int64 and got.tolist() == sorted(groups[key])
 
 
 def test_compositional_kg_reaches_high_validation_mrr(toy_kg):
