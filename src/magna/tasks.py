@@ -111,9 +111,7 @@ def distmult_scores(head_repr: Tensor, relation_vec: Tensor, all_entities: Tenso
 
 def smoothed_targets(tail_sets, num_entities: int, eps: float) -> np.ndarray:
     """Target rows: (1-eps) uniform over true tails plus eps uniform overall.
-
-    Each tail set is a set or an array of distinct entity ids, in any order.
-    """
+    Each tail set is a set or an array of distinct entity ids."""
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"label smoothing must be in [0, 1), got {eps}")
     targets = np.full((len(tail_sets), num_entities), eps / num_entities)

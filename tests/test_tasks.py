@@ -380,6 +380,25 @@ def test_kg_rank_memory_grows_with_block_not_queries_times_entities(rng, tmp_pat
     assert four_times - once < extra_queries * 8 * kg.num_entities / 4
 
 
+def test_kg_rank_memory_grows_with_block_not_keys_times_entities(rng, tmp_path, monkeypatch):
+    # queries with distinct keys each need their own score row, unlike the
+    # repeated queries above
+    kg = compositional_kg(str(tmp_path / "kg"), groups=100, held_out_valid=range(10))
+    entity = rng.normal(size=(kg.num_entities, 4))
+    relw = rng.normal(size=(kg.num_relations, 4))
+    monkeypatch.setattr(tasks, "_RANK_BLOCK_BYTES", 8 * kg.num_entities * 4)
+
+    def distinct_keys(triples):
+        return len(np.unique(kg_queries(triples, len(kg.relation_names))[:, :2], axis=0))
+
+    few = peak_traced_bytes(lambda: kg_filtered_ranks(entity, relw, kg, kg.valid))
+    many = peak_traced_bytes(lambda: kg_filtered_ranks(entity, relw, kg, kg.train))
+    extra_keys = distinct_keys(kg.train) - distinct_keys(kg.valid)
+    assert extra_keys > 500
+    # holding every key's score row would add 8 * num_entities bytes per key
+    assert many - few < extra_keys * 8 * kg.num_entities / 4
+
+
 # ---------------------------------------------------------------------------
 # ranking metrics
 
