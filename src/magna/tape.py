@@ -118,9 +118,12 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def accumulate(self, g: np.ndarray) -> None:
+    def accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add ``g`` to ``grad``. An adjoint passes ``fresh=True`` for a
+        buffer it allocated and never touches again, which then becomes the
+        first gradient without a copy."""
         if self.grad is None:
-            self.grad = np.array(g, copy=True)
+            self.grad = g if fresh else np.array(g, copy=True)
         else:
             self.grad += g
 

@@ -6,11 +6,14 @@ evaluation is pure numpy: queries are grouped by (entity, relation) key, a
 block of distinct keys is scored against all entities in one matrix product,
 each key's row is filtered once against its known-true answers, and each
 query counts its rank on its key's row, never losing its own target; ties
-count at half weight.
+count at half weight. Key blocks are ranked on one thread per available CPU,
+and the threads end with the call.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 
@@ -129,7 +132,8 @@ def kl_label_smoothing_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     Rows are as wide as the entity count, so the per-entry terms are built
     in one buffer, in place; only the softmax outlives the call. The adjoint
-    overwrites it with the gradient. ``targets`` is only read.
+    overwrites it with the gradient and hands it to ``logits`` without a
+    copy. ``targets`` is only read.
     """
     if logits.data.shape != targets.shape:
         raise ValueError(f"shape mismatch: logits {logits.data.shape} vs targets {targets.shape}")
@@ -144,16 +148,26 @@ def kl_label_smoothing_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
     def backward(g):
         np.subtract(p, targets, out=p)
         np.multiply(p, float(g) / targets.shape[0], out=p)
-        logits.accumulate(p)
+        logits.accumulate(p, fresh=True)
 
     return Tensor.from_op(np.asarray(loss_val), (logits,), "kl_smoothed", backward)
 
 
-# Bytes of float64 scores per key block in ``kg_filtered_ranks``, about
-# 51 rows at WN18RR shape. On a 2-core Xeon with one BLAS thread, 1 MB
-# blocks ranked 2x slower and 4-16 MB ones alike; larger blocks only add
+# Bytes of float64 scores in flight in ``kg_filtered_ranks``, split evenly
+# across its workers: about 51 rows at WN18RR shape, 25 per worker on two.
+# On a 2-core Xeon with one BLAS thread and two workers, 1 MB per worker
+# ranked 2x slower and 4-16 MB per worker alike; larger blocks only add
 # peak memory.
 _RANK_BLOCK_BYTES = 2**24
+
+
+def _rank_workers() -> int:
+    """Worker threads for ``kg_filtered_ranks``: the CPUs this process may
+    run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # the platform has no CPU affinity call
+        return os.cpu_count() or 1
 
 
 def _rank_rows(scores: np.ndarray, rows: np.ndarray, targets: np.ndarray,
@@ -194,9 +208,11 @@ def kg_filtered_ranks(entity_repr: np.ndarray, relation_weights: np.ndarray,
 
     Queries that share an (entity, relation) key share a score row and a
     filter set, so each distinct key is scored and filtered once. Keys are
-    scored in blocks of ``_RANK_BLOCK_BYTES``, one product against every
-    entity per block, so memory grows with the block and not with
-    queries x entities.
+    scored in blocks, one product against every entity per block. Worker
+    ``w`` of ``W`` ranks blocks ``w, w + W, ...``, and the ``W`` blocks in
+    flight share ``_RANK_BLOCK_BYTES``, so memory grows with that budget
+    and not with queries x entities. Each query is ranked on its own key's
+    row, so the ranks do not depend on ``W``.
     """
     num_rel = 2 * len(kg.relation_names)
     entities, relations, targets = kg_queries(triples, len(kg.relation_names)).T
@@ -207,19 +223,33 @@ def kg_filtered_ranks(entity_repr: np.ndarray, relation_weights: np.ndarray,
     by_key = np.argsort(key_of, kind="stable")
     sorted_keys = key_of[by_key]
     entity_t = np.ascontiguousarray(entity_repr.T)
-    block = max(1, _RANK_BLOCK_BYTES // (8 * entity_t.shape[1]))
+    workers = _rank_workers()
+    block = max(1, min(len(keys), _RANK_BLOCK_BYTES // (workers * 8 * entity_t.shape[1])))
     ranks = np.empty(len(targets))
-    for lo in range(0, len(keys), block):
-        rows = slice(lo, lo + block)
-        known = [kg.filter_index.get(key, ())
-                 for key in zip(key_entities[rows].tolist(), key_relations[rows].tolist())]
-        known_rows = np.repeat(np.arange(len(known)), [len(k) for k in known])
-        known_cols = np.fromiter(chain.from_iterable(known), dtype=np.int64, count=known_rows.size)
-        in_block = slice(*np.searchsorted(sorted_keys, [lo, lo + block]))
-        queries = by_key[in_block]
-        scores = (entity_repr[key_entities[rows]] * relation_weights[key_relations[rows]]) @ entity_t
-        ranks[queries] = _rank_rows(scores, sorted_keys[in_block] - lo, targets[queries],
-                                    known_rows, known_cols)
+    # allocated in the calling thread: a block a worker allocated would be
+    # freed into that thread's own malloc arena, where the rest of the
+    # program does not reuse it, and peak RSS would grow
+    buffers = np.empty((workers, block, entity_t.shape[1]))
+
+    def rank_blocks(first: int) -> None:
+        # each key, and so each query, belongs to exactly one worker's blocks
+        for lo in range(first * block, len(keys), workers * block):
+            rows = slice(lo, lo + block)
+            known = [kg.filter_index.get(key, ())
+                     for key in zip(key_entities[rows].tolist(), key_relations[rows].tolist())]
+            known_rows = np.repeat(np.arange(len(known)), [len(k) for k in known])
+            known_cols = np.fromiter(chain.from_iterable(known), dtype=np.int64, count=known_rows.size)
+            in_block = slice(*np.searchsorted(sorted_keys, [lo, lo + block]))
+            queries = by_key[in_block]
+            scores = np.matmul(entity_repr[key_entities[rows]] * relation_weights[key_relations[rows]],
+                               entity_t, out=buffers[first, :len(known)])
+            ranks[queries] = _rank_rows(scores, sorted_keys[in_block] - lo, targets[queries],
+                                        known_rows, known_cols)
+
+    # a pool that outlived the call would be copied without its threads
+    # into processes forked later, such as `magna search --jobs` trials
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(rank_blocks, range(workers)))
     return ranks
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from magna.model import NetworkConfig
 from magna.search import random_search, sample_space, validate_space
 from magna.train import TrainConfig
 
-from helpers import separable_node_dataset
+from helpers import compositional_kg, separable_node_dataset
 
 NET = NetworkConfig(blocks=1, dim=8, heads=2, alpha=0.3, hops=2, relation_dim=4)
 TRAIN = TrainConfig(lr=0.02, weight_decay=1e-4, epochs=25, window=25)
@@ -94,6 +96,20 @@ def test_parallel_jobs_match_sequential():
     }
     seq = random_search("node", ds, NET, TRAIN, space, trials=3, seed=9, jobs=1)
     par = random_search("node", ds, NET, TRAIN, space, trials=3, seed=9, jobs=2)
+    strip = lambda rows: [
+        {k: r[k] for k in ("trial", "params", "val_metric", "test_metric")} for r in rows
+    ]
+    assert strip(seq) == strip(par)
+
+
+def test_parallel_kg_jobs_match_sequential_after_ranking(tmp_path):
+    # the sequential trials rank in this process before the parallel ones
+    # fork from it; a ranking pool left behind would hang the forked trials
+    kg = compositional_kg(str(tmp_path / "kg"))
+    space = {"lr": {"kind": "choice", "values": [0.01, 0.02]}}
+    train = replace(TRAIN, epochs=2, window=2)
+    seq = random_search("kg", kg, NET, train, space, trials=2, seed=9, jobs=1)
+    par = random_search("kg", kg, NET, train, space, trials=2, seed=9, jobs=2)
     strip = lambda rows: [
         {k: r[k] for k in ("trial", "params", "val_metric", "test_metric")} for r in rows
     ]

@@ -362,6 +362,19 @@ def _network_loss(seed: int):
     return proj_loss(out, rng.normal(size=out.shape)), [x] + [p for _, p in store.items()]
 
 
+def test_accumulate_takes_a_fresh_buffer_and_adds_later_ones():
+    first, second = np.ones((2, 3)), np.full((2, 3), 2.0)
+    copied = Tensor(np.zeros((2, 3)), requires_grad=True)
+    copied.accumulate(first)
+    assert copied.grad is not first
+    taken = Tensor(np.zeros((2, 3)), requires_grad=True)
+    taken.accumulate(first, fresh=True)
+    assert taken.grad is first
+    taken.accumulate(second, fresh=True)
+    assert taken.grad is first and np.array_equal(first, np.full((2, 3), 3.0))
+    assert np.array_equal(second, np.full((2, 3), 2.0))
+
+
 def test_backward_releases_op_results_and_keeps_leaf_gradients():
     loss, leaves = _network_loss(0)
     loss.backward()

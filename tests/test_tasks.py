@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,7 +20,14 @@ from magna.tasks import (
     smoothed_targets,
 )
 
-from helpers import brute_force_rank, check_grad, compositional_kg, peak_traced_bytes, per_query_ranks
+from helpers import (
+    brute_force_rank,
+    brute_force_ranks,
+    check_grad,
+    compositional_kg,
+    peak_traced_bytes,
+    per_query_ranks,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +219,15 @@ def test_kl_loss_peak_memory_is_three_rows_of_buffers(rng):
     assert fresh > 5 * targets.nbytes
 
 
+def test_kl_loss_backward_hands_its_buffer_to_the_logits(rng):
+    targets = smoothed_targets([{i, 3 * i} for i in range(1, 9)], 20_000, 0.1)
+    logits = Tensor(rng.normal(size=targets.shape), requires_grad=True)
+    loss = kl_label_smoothing_loss(logits, targets)
+    # copying the gradient would allocate one more batch x entities array
+    assert peak_traced_bytes(loss.backward) < 0.1 * targets.nbytes
+    assert logits.grad.shape == targets.shape
+
+
 def test_tail_arrays_in_any_order_give_the_set_targets():
     want = smoothed_targets([{7, 2, 30}, {4}], 40, 0.1)
     got = smoothed_targets([np.array([30, 2, 7]), np.array([4])], 40, 0.1)
@@ -292,6 +311,8 @@ def test_kg_ranks_equal_per_query_ranks_under_ties(quantized_kg, block_rows, mon
     triples = np.concatenate([kg.train, kg.valid, kg.test])
     ranks = kg_filtered_ranks(entity, relw, kg, triples)
     assert np.array_equal(ranks, per_query_ranks(entity, relw, kg, triples))
+    # per_query_ranks shares the ranker's tie-and-filter rule; this does not
+    assert np.array_equal(ranks, brute_force_ranks(entity, relw, kg, triples))
     assert np.any(ranks % 1 == 0.5)  # ties were split
     assert any(len(kg.filter_index[(int(h), int(r))]) > 1 for h, r, _ in triples)  # filtering ran
 
@@ -363,6 +384,32 @@ def test_kg_ranks_of_empty_split(quantized_kg):
     kg, entity, relw = quantized_kg
     ranks = kg_filtered_ranks(entity, relw, kg, np.zeros((0, 3), dtype=np.int64))
     assert ranks.shape == (0,)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("block_keys", [None, 1])
+def test_kg_ranks_are_the_same_at_any_worker_count(quantized_kg, workers, block_keys, monkeypatch):
+    kg, entity, relw = quantized_kg
+    monkeypatch.setattr(tasks, "_rank_workers", lambda: workers)
+    if block_keys is not None:
+        monkeypatch.setattr(tasks, "_RANK_BLOCK_BYTES", 8 * kg.num_entities * block_keys)
+    else:
+        # one block holds every key, so with 2 or 3 workers some get none
+        assert tasks._RANK_BLOCK_BYTES // (3 * 8 * kg.num_entities) >= kg.num_relations * kg.num_entities
+    triples = np.concatenate([kg.train, kg.valid, kg.test])
+    threads = threading.active_count()
+    ranks = kg_filtered_ranks(entity, relw, kg, triples)
+    empty = kg_filtered_ranks(entity, relw, kg, np.zeros((0, 3), dtype=np.int64))
+    assert threading.active_count() == threads  # no worker outlives its call
+    assert np.array_equal(ranks, per_query_ranks(entity, relw, kg, triples))
+    assert np.array_equal(ranks, brute_force_ranks(entity, relw, kg, triples))
+    assert empty.shape == (0,)
+
+
+def test_rank_workers_are_the_cpus_this_process_may_use():
+    if hasattr(os, "sched_getaffinity"):
+        assert tasks._rank_workers() == len(os.sched_getaffinity(0))
+    assert tasks._rank_workers() >= 1
 
 
 def test_kg_rank_memory_grows_with_block_not_queries_times_entities(rng, tmp_path, monkeypatch):
