@@ -13,6 +13,11 @@ NET = NetworkConfig(blocks=1, dim=8, heads=2, alpha=0.3, hops=2, relation_dim=4)
 TRAIN = TrainConfig(lr=0.02, weight_decay=1e-4, epochs=25, window=25)
 
 
+def _outcomes(rows):
+    """Each trial's index, parameters and metrics."""
+    return [{k: r[k] for k in ("trial", "params", "val_metric", "test_metric")} for r in rows]
+
+
 def test_validate_space_rejects_unknown_parameter():
     with pytest.raises(ValueError, match="unknown search parameter"):
         validate_space({"learning_rate_typo": {"kind": "fixed", "value": 1}})
@@ -76,8 +81,7 @@ def test_search_sorted_and_reproducible():
     rows2 = random_search("node", ds, NET, TRAIN, space, trials=4, seed=11)
     vals = [r["val_metric"] for r in rows1]
     assert vals == sorted(vals, reverse=True)
-    strip = lambda rows: [{k: r[k] for k in ("trial", "params", "val_metric", "test_metric")} for r in rows]
-    assert strip(rows1) == strip(rows2)
+    assert _outcomes(rows1) == _outcomes(rows2)
 
 
 def test_search_validates_inputs():
@@ -96,10 +100,7 @@ def test_parallel_jobs_match_sequential():
     }
     seq = random_search("node", ds, NET, TRAIN, space, trials=3, seed=9, jobs=1)
     par = random_search("node", ds, NET, TRAIN, space, trials=3, seed=9, jobs=2)
-    strip = lambda rows: [
-        {k: r[k] for k in ("trial", "params", "val_metric", "test_metric")} for r in rows
-    ]
-    assert strip(seq) == strip(par)
+    assert _outcomes(seq) == _outcomes(par)
 
 
 def test_parallel_kg_jobs_match_sequential_after_ranking(tmp_path):
@@ -110,7 +111,4 @@ def test_parallel_kg_jobs_match_sequential_after_ranking(tmp_path):
     train = replace(TRAIN, epochs=2, window=2)
     seq = random_search("kg", kg, NET, train, space, trials=2, seed=9, jobs=1)
     par = random_search("kg", kg, NET, train, space, trials=2, seed=9, jobs=2)
-    strip = lambda rows: [
-        {k: r[k] for k in ("trial", "params", "val_metric", "test_metric")} for r in rows
-    ]
-    assert strip(seq) == strip(par)
+    assert _outcomes(seq) == _outcomes(par)
