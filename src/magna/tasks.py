@@ -6,8 +6,8 @@ evaluation is pure numpy: queries are grouped by (entity, relation) key, a
 block of distinct keys is scored against all entities in one matrix product,
 each key's row is filtered once against its known-true answers, and each
 query counts its rank on its key's row, never losing its own target; ties
-count at half weight. Key blocks are ranked on one thread per available CPU,
-and the threads end with the call.
+count at half weight. When BLAS runs on one thread, key blocks are ranked on
+one thread per available CPU, up to four, and the threads end with the call.
 """
 
 from __future__ import annotations
@@ -160,14 +160,30 @@ def kl_label_smoothing_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
 # peak memory.
 _RANK_BLOCK_BYTES = 2**24
 
+# The least share of ``_RANK_BLOCK_BYTES`` a worker gets; more workers would
+# only rank smaller, slower blocks.
+_RANK_WORKER_BYTES = 2**22
+
+# BLAS thread settings, in the order OpenBLAS and MKL read them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
 
 def _rank_workers() -> int:
-    """Worker threads for ``kg_filtered_ranks``: the CPUs this process may
-    run on."""
+    """Worker threads for ``kg_filtered_ranks``.
+
+    With BLAS set to one thread: one per CPU this process may run on, as
+    long as each keeps a ``_RANK_WORKER_BYTES`` share. Otherwise one: a
+    multithreaded BLAS already spreads each product over the cores, and
+    workers that each start one oversubscribe them.
+    """
+    blas_threads = next((os.environ[v] for v in _BLAS_THREAD_VARS if v in os.environ), None)
+    if blas_threads != "1":
+        return 1
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # the platform has no CPU affinity call
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _RANK_BLOCK_BYTES // _RANK_WORKER_BYTES))
 
 
 def _rank_rows(scores: np.ndarray, rows: np.ndarray, targets: np.ndarray,
@@ -210,9 +226,9 @@ def kg_filtered_ranks(entity_repr: np.ndarray, relation_weights: np.ndarray,
     filter set, so each distinct key is scored and filtered once. Keys are
     scored in blocks, one product against every entity per block. Worker
     ``w`` of ``W`` ranks blocks ``w, w + W, ...``, and the ``W`` blocks in
-    flight share ``_RANK_BLOCK_BYTES``, so memory grows with that budget
-    and not with queries x entities. Each query is ranked on its own key's
-    row, so the ranks do not depend on ``W``.
+    flight share ``_RANK_BLOCK_BYTES`` (at least one row each), so memory
+    grows with that budget and not with queries x entities. Each query is
+    ranked on its own key's row, so the ranks do not depend on ``W``.
     """
     num_rel = 2 * len(kg.relation_names)
     entities, relations, targets = kg_queries(triples, len(kg.relation_names)).T

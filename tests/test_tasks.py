@@ -406,10 +406,27 @@ def test_kg_ranks_are_the_same_at_any_worker_count(quantized_kg, workers, block_
     assert empty.shape == (0,)
 
 
-def test_rank_workers_are_the_cpus_this_process_may_use():
+@pytest.mark.parametrize("blas_env, parallel", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({}, False),  # BLAS then starts a thread per CPU
+])
+def test_rank_workers_are_the_cpus_when_blas_runs_on_one_thread(blas_env, parallel, monkeypatch):
+    for var in tasks._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in blas_env.items():
+        monkeypatch.setenv(var, value)
+    share = tasks._RANK_BLOCK_BYTES // tasks._RANK_WORKER_BYTES
     if hasattr(os, "sched_getaffinity"):
-        assert tasks._rank_workers() == len(os.sched_getaffinity(0))
-    assert tasks._rank_workers() >= 1
+        cpus = len(os.sched_getaffinity(0))
+        assert tasks._rank_workers() == (min(cpus, share) if parallel else 1)
+    # on a many-core host each worker still keeps its share of the budget
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert tasks._rank_workers() == (share if parallel else 1)
+    monkeypatch.setattr(tasks, "_RANK_BLOCK_BYTES", tasks._RANK_WORKER_BYTES - 1)
+    assert tasks._rank_workers() == 1
 
 
 def test_kg_rank_memory_grows_with_block_not_queries_times_entities(rng, tmp_path, monkeypatch):
@@ -444,6 +461,12 @@ def test_kg_rank_memory_grows_with_block_not_keys_times_entities(rng, tmp_path, 
     assert extra_keys > 500
     # holding every key's score row would add 8 * num_entities bytes per key
     assert many - few < extra_keys * 8 * kg.num_entities / 4
+
+
+def test_kg_rank_memory_on_two_workers_grows_with_block_not_keys(rng, tmp_path, monkeypatch):
+    # the test above sets a budget too small for a second worker's share
+    monkeypatch.setattr(tasks, "_rank_workers", lambda: 2)
+    test_kg_rank_memory_grows_with_block_not_keys_times_entities(rng, tmp_path, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
