@@ -30,10 +30,8 @@ __all__ = [
     "verify_eigenvector_sharing",
     "discrepancy_from_attention",
     "attention_discrepancy",
-    "learned_attention_spectrum",
     "write_spectrum_csv",
     "write_discrepancy_csv",
-    "write_matrix_csv",
     "write_summary_json",
 ]
 
@@ -208,20 +206,6 @@ def attention_discrepancy(net, features, layer: int, head: int) -> DiscrepancyRe
     return discrepancy_from_attention(att, net.graph)
 
 
-def learned_attention_spectrum(net, features, layer: int, head: int, alpha: float) -> SpectrumReport:
-    """Spectrum report for one head's learned attention, symmetrized.
-
-    Learned attention is generally not symmetric and may have complex
-    eigenvalues; (A + A^T)/2 is analyzed instead and the report carries the
-    ``symmetrized`` caveat. Oracle scale only.
-    """
-    from .attention import dense_attention
-
-    att = net.one_hop_attention(features, layer, head)
-    dense = dense_attention(net.graph, att)
-    return spectrum_report((dense + dense.T) / 2.0, alpha, symmetrized=True)
-
-
 # ---------------------------------------------------------------------------
 # report serialization
 
@@ -254,20 +238,6 @@ def write_discrepancy_csv(report: DiscrepancyReport, path: str, seed: int | None
         writer.writerow(["node", "delta"])
         for i, d in enumerate(report.per_node):
             writer.writerow([i, repr(float(d))])
-
-
-def write_matrix_csv(matrix: np.ndarray, path: str, seed: int | None = None) -> None:
-    """Dense matrix export (e.g. the diffused attention operator), one row
-    per line; oracle scale only."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        header = f"# rows={matrix.shape[0]} cols={matrix.shape[1]}"
-        if seed is not None:
-            header += f" seed={seed}"
-        fh.write(header + "\n")
-        writer = csv.writer(fh)
-        for row in matrix:
-            writer.writerow([repr(float(v)) for v in row])
 
 
 def write_summary_json(summary: dict, path: str, seed: int | None = None) -> None:

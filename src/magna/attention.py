@@ -62,9 +62,6 @@ class DiffusionConfig:
         if self.hops < 1:
             raise ValueError(f"hop count must be >= 1, got {self.hops}")
 
-    def hop_weight(self, i: int) -> float:
-        return self.alpha * (1.0 - self.alpha) ** i
-
 
 @dataclass(frozen=True)
 class AttentionHeadParams:

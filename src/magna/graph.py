@@ -31,6 +31,8 @@ __all__ = [
     "save_kg_dataset",
     "read_edge_file",
     "kg_queries",
+    "kg_answer_index",
+    "kg_known_answers",
 ]
 
 SPLIT_TOKENS = ("train", "val", "test")
@@ -110,6 +112,37 @@ def kg_queries(triples, num_relations: int) -> np.ndarray:
     return np.stack([h, r, t, t, r + num_relations, h], axis=1).reshape(-1, 3)
 
 
+def kg_answer_index(triples, num_relations: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``kg_queries`` of ``triples`` grouped by key ``entity * 2 *
+    num_relations + relation``, as ``(keys, indptr, answers)``: ``keys``
+    ascend, and ``answers[indptr[i]:indptr[i+1]]`` are the distinct answers
+    to ``keys[i]``, ascending."""
+    entities, relations, answers = kg_queries(triples, num_relations).T
+    keys = entities * (2 * num_relations) + relations
+    order = np.lexsort((answers, keys))
+    keys, answers = keys[order], answers[order]
+    # a triple in more than one split gives the same (key, answer) pair; ids
+    # are non-negative, so the first pair differs from the -1 before it
+    distinct = (np.diff(keys, prepend=-1) != 0) | (np.diff(answers, prepend=-1) != 0)
+    keys, answers = keys[distinct], answers[distinct]
+    keys, starts = np.unique(keys, return_index=True)
+    return keys, np.append(starts, len(answers)), answers
+
+
+def kg_known_answers(index, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The answers in a ``kg_answer_index`` to each of ``keys``, as ``(rows,
+    cols)``: ``cols[j]`` answers ``keys[rows[j]]``. A key that is not in the
+    index has none."""
+    index_keys, indptr, answers = index
+    # a key found at i spans indptr[i:i+2]; a missing one spans nothing
+    starts = indptr[np.searchsorted(index_keys, keys)]
+    counts = indptr[np.searchsorted(index_keys, keys, side="right")] - starts
+    rows = np.repeat(np.arange(len(keys)), counts)
+    # output j is answer j - firsts[r] of key r = rows[j]
+    firsts = np.cumsum(counts) - counts
+    return rows, answers[starts[rows] + np.arange(len(rows)) - firsts[rows]]
+
+
 @dataclass(frozen=True)
 class NodeDataset:
     graph: Graph
@@ -130,7 +163,7 @@ class KgDataset:
     train: np.ndarray             # (n, 3) int64 with original relation ids
     valid: np.ndarray
     test: np.ndarray
-    filter_index: dict = field(repr=False)   # (head, rel-or-reverse) -> set of tails
+    answer_index: tuple = field(repr=False)  # kg_answer_index of all three splits
 
     @property
     def num_entities(self) -> int:
@@ -348,12 +381,9 @@ def load_kg_dataset(directory: str) -> KgDataset:
     except GraphFormatError as exc:
         raise GraphFormatError(str(exc), os.path.join(directory, "train.txt")) from None
 
-    filter_index: dict[tuple[int, int], set[int]] = {}
-    for e, q, answer in kg_queries(np.concatenate([train, valid, test]), n_rel).tolist():
-        filter_index.setdefault((e, q), set()).add(answer)
-
     # ids follow insertion order, so each dict's keys are its names by id
-    return KgDataset(graph, list(entity_ids), list(relation_ids), train, valid, test, filter_index)
+    return KgDataset(graph, list(entity_ids), list(relation_ids), train, valid, test,
+                     kg_answer_index(np.concatenate([train, valid, test]), n_rel))
 
 
 def save_kg_dataset(kg: KgDataset, directory: str) -> None:

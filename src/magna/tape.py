@@ -427,7 +427,7 @@ def edge_spmm(att: Tensor, h: Tensor, graph, hops: int = 1, alpha: float = 0.0) 
     ``graph`` edge order (sorted by destination). The defaults give the
     one-hop product A H. Cost is hops * E * cols: the CSR view of the edge
     layout (``src``, ``in_indptr``) is built once per call, and the hops run
-    in place with the arithmetic of a scale-then-add chain.
+    in place with the arithmetic of a scale op followed by an add.
 
     The adjoint runs the same recursion backward, last hop first: with
     gs = (1-alpha) G, hop k adds the sampled row-dot gs[dst] . Z_{k-1}[src]

@@ -4,7 +4,8 @@ The losses are tape ops with hand-derived adjoints (softmax minus target),
 so the finite-difference checks cover them like any architecture op. Ranking
 evaluation is pure numpy: queries are grouped by (entity, relation) key, a
 block of distinct keys is scored against all entities in one matrix product,
-each key's row is filtered once against its known-true answers, and each
+each key's row is filtered once against its known-true answers, read for the
+whole block from the dataset's sorted answer index in one lookup, and each
 query counts its rank on its key's row, never losing its own target; ties
 count at half weight. When BLAS runs on one thread, key blocks are ranked on
 one thread per available CPU, up to four, and the threads end with the call.
@@ -15,11 +16,10 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .graph import KgDataset, kg_queries
+from .graph import KgDataset, kg_known_answers, kg_queries
 from .optim import ParamStore
 from .tape import Tensor, add, matmul, mul, transpose
 
@@ -207,11 +207,11 @@ def _rank_rows(scores: np.ndarray, rows: np.ndarray, targets: np.ndarray,
     return ranks
 
 
-def filtered_rank(scores: np.ndarray, target: int, known: set) -> float:
-    """Rank of ``target`` among candidates after removing other known-true
-    answers; ties count half each."""
+def filtered_rank(scores: np.ndarray, target: int, known: np.ndarray) -> float:
+    """Rank of ``target`` among candidates after removing the other known-true
+    answers, an int array of entity ids; ties count half each."""
     row = np.array(scores, dtype=np.float64).reshape(1, -1)
-    cols = np.fromiter(known, dtype=np.int64, count=len(known))
+    cols = np.asarray(known, dtype=np.int64)
     return float(_rank_rows(row, np.zeros(1, dtype=np.int64), np.array([target]),
                             np.zeros_like(cols), cols)[0])
 
@@ -222,8 +222,8 @@ def kg_filtered_ranks(entity_repr: np.ndarray, relation_weights: np.ndarray,
     replaces the tail, ``ranks[2i+1]`` the head, scored through the reverse
     relation.
 
-    Queries that share an (entity, relation) key share a score row and a
-    filter set, so each distinct key is scored and filtered once. Keys are
+    Queries that share an (entity, relation) key share a score row and
+    known answers, so each distinct key is scored and filtered once. Keys are
     scored in blocks, one product against every entity per block. Worker
     ``w`` of ``W`` ranks blocks ``w, w + W, ...``, and the ``W`` blocks in
     flight share ``_RANK_BLOCK_BYTES`` (at least one row each), so memory
@@ -251,14 +251,11 @@ def kg_filtered_ranks(entity_repr: np.ndarray, relation_weights: np.ndarray,
         # each key, and so each query, belongs to exactly one worker's blocks
         for lo in range(first * block, len(keys), workers * block):
             rows = slice(lo, lo + block)
-            known = [kg.filter_index.get(key, ())
-                     for key in zip(key_entities[rows].tolist(), key_relations[rows].tolist())]
-            known_rows = np.repeat(np.arange(len(known)), [len(k) for k in known])
-            known_cols = np.fromiter(chain.from_iterable(known), dtype=np.int64, count=known_rows.size)
+            known_rows, known_cols = kg_known_answers(kg.answer_index, keys[rows])
             in_block = slice(*np.searchsorted(sorted_keys, [lo, lo + block]))
             queries = by_key[in_block]
             scores = np.matmul(entity_repr[key_entities[rows]] * relation_weights[key_relations[rows]],
-                               entity_t, out=buffers[first, :len(known)])
+                               entity_t, out=buffers[first, :len(keys[rows])])
             ranks[queries] = _rank_rows(scores, sorted_keys[in_block] - lo, targets[queries],
                                         known_rows, known_cols)
 

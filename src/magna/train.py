@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .graph import SPLIT_TEST, SPLIT_TRAIN, SPLIT_VAL, KgDataset, NodeDataset, kg_queries
+from .graph import SPLIT_TEST, SPLIT_TRAIN, SPLIT_VAL, KgDataset, NodeDataset, kg_answer_index
 from .model import MagnaNet, NetworkConfig
 from .optim import Adam, ParamStore
 from .tape import Tensor, gather_rows, no_grad
@@ -244,12 +244,9 @@ def _train_queries(kg: KgDataset) -> tuple[np.ndarray, np.ndarray, list]:
     """Unique (entity, relation) queries over the train split, reverse
     direction included, in sorted order, each with its full tail set as an
     int64 array."""
-    q = kg_queries(kg.train, len(kg.relation_names))
-    q = q[np.lexsort(q.T[::-1])]  # by entity, then relation, then answer
-    q = q[np.r_[True, (q[1:] != q[:-1]).any(axis=1)]]  # a repeated triple is one tail
-    bounds = np.flatnonzero(np.r_[True, (q[1:, :2] != q[:-1, :2]).any(axis=1), True])
-    tails = [q[lo:hi, 2] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
-    return q[bounds[:-1], 0], q[bounds[:-1], 1], tails
+    keys, indptr, answers = kg_answer_index(kg.train, len(kg.relation_names))
+    heads, rels = np.divmod(keys, kg.num_relations)
+    return heads, rels, [answers[lo:hi] for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
 
 
 def kg_validation_mrr(model: KgModel, triples: np.ndarray) -> float:

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 
-from magna.graph import Graph
+from magna.graph import Graph, kg_queries
 from magna.tape import Tensor
 from magna.tasks import filtered_rank
 
@@ -95,6 +95,26 @@ def peak_traced_bytes(fn) -> int:
         tracemalloc.stop()
 
 
+def answer_sets(triples, num_relations: int) -> dict:
+    """Reference answer index: each (entity, relation) key of the
+    ``kg_queries`` of ``triples`` mapped to the set of its answers."""
+    groups = {}
+    for e, q, answer in kg_queries(triples, num_relations).tolist():
+        groups.setdefault((e, q), set()).add(answer)
+    return groups
+
+
+def known_set(kg, e, q) -> set:
+    """The known answers to query (e, q), read from ``kg.answer_index`` by a
+    bisection of its keys; empty for a key not in the index."""
+    keys, indptr, answers = kg.answer_index
+    key = e * kg.num_relations + q
+    i = int(np.searchsorted(keys, key))
+    if i == len(keys) or keys[i] != key:
+        return set()
+    return set(answers[indptr[i]:indptr[i + 1]].tolist())
+
+
 def brute_force_rank(scores, target, known):
     candidates = [i for i in range(len(scores)) if i == target or i not in known]
     better = sum(1 for c in candidates if scores[c] > scores[target])
@@ -111,7 +131,7 @@ def brute_force_ranks(entity, relw, kg, triples):
     for h, r, t in np.asarray(triples).tolist():
         for e, q, target in ((h, r, t), (t, r + n_rel, h)):
             scores = (entity[e] * relw[q]) @ entity.T
-            out.append(brute_force_rank(scores, target, kg.filter_index.get((e, q), set())))
+            out.append(brute_force_rank(scores, target, known_set(kg, e, q)))
     return np.array(out)
 
 
@@ -123,7 +143,7 @@ def per_query_ranks(entity, relw, kg, triples):
     for h, r, t in np.asarray(triples).tolist():
         for e, q, target in ((h, r, t), (t, r + n_rel, h)):
             scores = (entity[e] * relw[q]) @ entity.T
-            out.append(filtered_rank(scores, target, kg.filter_index.get((e, q), set())))
+            out.append(filtered_rank(scores, target, list(known_set(kg, e, q))))
     return np.array(out)
 
 

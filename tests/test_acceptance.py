@@ -30,6 +30,7 @@ from helpers import (
     brute_force_rank,
     check_grad,
     compositional_kg,
+    known_set,
     proj_loss,
     random_attention,
     random_graph,
@@ -308,10 +309,10 @@ def test_criterion_8_kg_pipeline(tmp_path, rng):
             for i, (h, r, t) in enumerate(split):
                 h, r, t = int(h), int(r), int(t)
                 tail_scores = (entity[h] * relw[r]) @ entity.T
-                assert ranks[2 * i] == brute_force_rank(tail_scores, t, kg.filter_index[(h, r)])
+                assert ranks[2 * i] == brute_force_rank(tail_scores, t, known_set(kg, h, r))
                 head_scores = (entity[t] * relw[r + n_rel]) @ entity.T
                 assert ranks[2 * i + 1] == brute_force_rank(
-                    head_scores, h, kg.filter_index[(t, r + n_rel)])
+                    head_scores, h, known_set(kg, t, r + n_rel))
 
         net = NetworkConfig(blocks=2, dim=32, heads=2, alpha=0.15, hops=3, relation_dim=16)
         cfg = TrainConfig(lr=2e-2, weight_decay=1e-8, epochs=1000, window=200, seed=0,

@@ -165,33 +165,6 @@ def test_histogram_counts_every_node(rng):
     assert report.per_node.shape == (15,)
 
 
-def test_learned_attention_spectrum_is_labeled(rng):
-    from magna.analysis import learned_attention_spectrum
-
-    g = random_graph(rng, 12, extra_edges=10)
-    cfg = NetworkConfig(blocks=1, dim=8, heads=2, alpha=0.3, hops=2, relation_dim=4)
-    store = ParamStore()
-    net = MagnaNet(cfg, g, 5, store, rng)
-    x = Tensor(rng.normal(size=(12, 5)))
-    report = learned_attention_spectrum(net, x, layer=0, head=0, alpha=0.2)
-    assert report.symmetrized is True
-    # symmetrized attention still obeys the eigenvalue map exactly
-    assert report.max_eigen_deviation <= 1e-8
-
-
-def test_matrix_csv_roundtrip(tmp_path, rng):
-    from magna.analysis import write_matrix_csv
-
-    m = rng.normal(size=(4, 4))
-    path = str(tmp_path / "m.csv")
-    write_matrix_csv(m, path, seed=3)
-    with open(path) as fh:
-        header = fh.readline()
-        assert header.startswith("# rows=4 cols=4 seed=3")
-        rows = [[float(v) for v in line.strip().split(",")] for line in fh]
-    assert np.array_equal(np.array(rows), m)
-
-
 def test_network_level_discrepancy(rng):
     g = random_graph(rng, 10, extra_edges=8)
     cfg = NetworkConfig(blocks=2, dim=8, heads=2, alpha=0.3, hops=2, relation_dim=4)

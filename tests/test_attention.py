@@ -60,13 +60,6 @@ def test_diffusion_config_validation():
         DiffusionConfig(alpha=0.5, hops=0)
 
 
-def test_hop_weights_decrease_and_sum_to_one():
-    cfg = DiffusionConfig(alpha=0.2, hops=5)
-    weights = [cfg.hop_weight(i) for i in range(200)]
-    assert all(a > b > 0 for a, b in zip(weights, weights[1:]))
-    assert sum(weights) == pytest.approx(1.0, abs=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # edge scores
 

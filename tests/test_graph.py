@@ -12,6 +12,8 @@ from magna.graph import (
     Graph,
     GraphFormatError,
     NodeDataset,
+    kg_answer_index,
+    kg_known_answers,
     kg_queries,
     load_kg_dataset,
     load_node_dataset,
@@ -20,7 +22,7 @@ from magna.graph import (
 )
 
 from conftest import require_dataset
-from helpers import path_graph, star_graph
+from helpers import answer_sets, known_set, path_graph, star_graph
 
 
 def write_node_dataset(directory, features, edges, labels, splits):
@@ -236,8 +238,55 @@ def test_filter_index_over_all_splits(tmp_path):
     kg = load_kg_dataset(d)
     a = kg.entity_names.index("a")
     r = kg.relation_names.index("r")
-    tails = {kg.entity_names[t] for t in kg.filter_index[(a, r)]}
+    tails = {kg.entity_names[t] for t in known_set(kg, a, r)}
     assert tails == {"b", "c", "d"}
+
+
+# (train, valid, test): a triple in every split at once, with "d" seen only
+# as a tail; then an empty test split
+ANSWER_INDEX_KGS = [
+    ([("a", "r", "b"), ("a", "r", "c"), ("b", "s", "d")],
+     [("a", "r", "c"), ("c", "s", "d")], [("a", "r", "c"), ("a", "s", "d")]),
+    ([("a", "r", "b"), ("b", "r", "a"), ("c", "s", "a")], [("a", "r", "c")], []),
+]
+
+
+@pytest.mark.parametrize("train, valid, test", ANSWER_INDEX_KGS)
+def test_answer_index_equals_dict_of_sets(tmp_path, train, valid, test):
+    write_kg(str(tmp_path), train, valid, test)
+    kg = load_kg_dataset(str(tmp_path))
+    n_rel = len(kg.relation_names)
+    everything = np.concatenate([kg.train, kg.valid, kg.test])
+    for triples, index in ((everything, kg.answer_index),
+                           *((split, kg_answer_index(split, n_rel))
+                             for split in (kg.train, kg.valid, kg.test))):
+        keys, indptr, answers = index
+        assert np.all(np.diff(keys) > 0) and indptr[0] == 0 and indptr[-1] == len(answers)
+        got = {divmod(key, kg.num_relations): answers[lo:hi].tolist()
+               for key, lo, hi in zip(keys.tolist(), indptr[:-1].tolist(), indptr[1:].tolist())}
+        assert got == {key: sorted(tails) for key, tails in answer_sets(triples, n_rel).items()}
+    # the lookup returns each key's answers in the order of the keys asked
+    keys = kg.answer_index[0][::-1]
+    rows, cols = kg_known_answers(kg.answer_index, keys)
+    assert list(zip(rows.tolist(), cols.tolist())) == [
+        (i, a) for i, key in enumerate(keys.tolist())
+        for a in sorted(known_set(kg, *divmod(key, kg.num_relations)))]
+
+
+def test_known_answers_of_a_key_not_in_the_index():
+    # entity 0 is in no triple, so its keys 0 and 1 are not in the index
+    index = kg_answer_index(np.array([[1, 0, 2], [2, 0, 3]]), 1)
+    assert index[0].tolist() == [2, 4, 5, 7]
+    # below, between and above the keys in the index, alone and among them
+    missing = np.array([0, 1, 3, 6, 8])
+    rows, cols = kg_known_answers(index, missing)
+    assert rows.size == 0 and cols.size == 0
+    rows, cols = kg_known_answers(index, np.array([8, 2, 0, 5, 3]))
+    assert rows.tolist() == [1, 3] and cols.tolist() == [2, 1]
+    # an index over no triples holds no keys
+    empty = kg_answer_index(np.zeros((0, 3), dtype=np.int64), 1)
+    assert [part.size for part in empty] == [0, 1, 0]
+    assert kg_known_answers(empty, missing)[0].size == 0
 
 
 def test_reverse_of_reverse_is_original(tmp_path):
@@ -297,7 +346,7 @@ def test_kg_roundtrip(tmp_path):
     assert np.array_equal(again.train, kg.train)
     assert np.array_equal(again.valid, kg.valid)
     assert np.array_equal(again.test, kg.test)
-    assert again.filter_index == kg.filter_index
+    assert all(np.array_equal(a, b) for a, b in zip(again.answer_index, kg.answer_index))
 
 
 def test_wn18rr_sizes():

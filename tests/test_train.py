@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from magna import train
-from magna.graph import SPLIT_TRAIN, NodeDataset, kg_queries
+from magna.graph import SPLIT_TRAIN, NodeDataset
 from magna.model import NetworkConfig
 from magna.optim import Adam, load_checkpoint, save_checkpoint
 from magna.tasks import cross_entropy_loss
@@ -17,7 +17,7 @@ from magna.train import (
     train_node_classifier,
 )
 
-from helpers import compositional_kg, peak_traced_bytes, separable_node_dataset
+from helpers import answer_sets, compositional_kg, peak_traced_bytes, separable_node_dataset
 
 TOY_NET = NetworkConfig(blocks=2, dim=16, heads=2, alpha=0.3, hops=3, relation_dim=4,
                         dropout_attention=0.1, dropout_feature=0.1)
@@ -150,9 +150,7 @@ def toy_kg(tmp_path_factory):
 
 
 def test_train_queries_match_grouping_into_sets(toy_kg):
-    groups = {}
-    for e, q, answer in kg_queries(toy_kg.train, len(toy_kg.relation_names)).tolist():
-        groups.setdefault((e, q), set()).add(answer)
+    groups = answer_sets(toy_kg.train, len(toy_kg.relation_names))
     heads, rels, tails = train._train_queries(toy_kg)
     assert list(zip(heads.tolist(), rels.tolist())) == sorted(groups)
     for key, got in zip(sorted(groups), tails):
