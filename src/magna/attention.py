@@ -18,18 +18,13 @@ from .linalg import SingularMatrixError, dense_solve
 from .optim import ParamStore
 from .tape import (
     Tensor,
-    add,
+    _attention_scores,
     concat_cols,
     dropout,
+    edge_attention,
     edge_spmm,
-    gather_rows,
     layer_norm,
-    leaky_relu,
     matmul,
-    segment_softmax,
-    slice_cols,
-    tanh,
-    transpose,
 )
 
 __all__ = [
@@ -101,38 +96,25 @@ class RelationTable:
 
 
 def edge_scores(h: Tensor, graph, params: AttentionHeadParams, relations: RelationTable) -> Tensor:
-    """Raw attention score per directed edge (src, rel, dst), shape (E, 1).
+    """Raw attention score per directed edge (src, rel, dst), shape (E, 1), off the tape.
 
-    Computes leaky_relu(v_a . tanh(W_h h_src || W_t h_dst || W_r r_rel))
-    via per-node projections: tanh acts elementwise, so the concatenated dot
-    product splits exactly into three per-endpoint terms gathered onto edges.
+    leaky_relu(v_a . tanh(W_h h_src || W_t h_dst || W_r r_rel)): the scores
+    that ``attention_weights`` normalizes, from the same forward helper.
     """
-    if graph.num_edges and int(graph.rel.max()) >= relations.table.shape[0]:
-        raise ValueError(
-            f"relation id {int(graph.rel.max())} out of range for table of "
-            f"{relations.table.shape[0]} relations"
-        )
-    d = params.w_h.shape[0]
-    th = tanh(matmul(h, transpose(params.w_h)))
-    tt = tanh(matmul(h, transpose(params.w_t)))
-    tr = tanh(matmul(relations.table, transpose(params.w_r)))
-    part_h = matmul(th, transpose(slice_cols(params.v_a, 0, d)))
-    part_t = matmul(tt, transpose(slice_cols(params.v_a, d, 2 * d)))
-    part_r = matmul(tr, transpose(slice_cols(params.v_a, 2 * d, 3 * d)))
-    per_edge = add(
-        add(gather_rows(part_h, graph.src), gather_rows(part_t, graph.dst)),
-        gather_rows(part_r, graph.rel),
-    )
-    return leaky_relu(per_edge, LEAKY_SLOPE)
+    scores, _, _ = _attention_scores(h.data, params.w_h.data, params.w_t.data, relations.table.data,
+                                     params.w_r.data, params.v_a.data, graph, LEAKY_SLOPE, False)
+    return Tensor(scores)
 
 
-def attention_weights(scores: Tensor, graph) -> Tensor:
-    """Row-stochastic attention restricted to edges: softmax per destination.
+def attention_weights(h: Tensor, graph, params: AttentionHeadParams, relations: RelationTable) -> Tensor:
+    """Row-stochastic attention restricted to edges: the softmax per
+    destination of ``edge_scores``, as one ``edge_attention`` tape node.
 
     Every node must have at least one incoming edge (use
     ``Graph.with_self_loops`` beforehand); empty rows are never normalized.
     """
-    return segment_softmax(scores, graph.in_indptr)
+    return edge_attention(h, params.w_h, params.w_t, relations.table, params.w_r, params.v_a,
+                          graph, LEAKY_SLOPE)
 
 
 def attention_diffusion(att: Tensor, h: Tensor, cfg: DiffusionConfig, graph) -> Tensor:
@@ -209,8 +191,7 @@ def multi_head_diffusion(
     h_norm = layer_norm(h, ln[0], ln[1]) if ln is not None else h
     outputs = []
     for i, head in enumerate(heads):
-        scores = edge_scores(h_norm, graph, head, relations)
-        att = attention_weights(scores, graph)
+        att = attention_weights(h_norm, graph, head, relations)
         if capture is not None:
             capture[f"{capture_prefix}head{i}"] = att.data.reshape(-1).copy()
         if training and attention_dropout > 0.0:

@@ -31,15 +31,12 @@ __all__ = [
     "add",
     "mul",
     "concat_cols",
-    "slice_cols",
-    "leaky_relu",
     "relu",
     "elu",
-    "tanh",
     "dropout",
     "layer_norm",
     "gather_rows",
-    "segment_softmax",
+    "edge_attention",
     "edge_spmm",
 ]
 
@@ -258,27 +255,6 @@ def concat_cols(tensors) -> Tensor:
     return Tensor.from_op(out_data, tuple(tensors), "concat_cols", backward)
 
 
-def slice_cols(a: Tensor, j0: int, j1: int) -> Tensor:
-    out_data = a.data[:, j0:j1].copy()
-
-    def backward(g):
-        da = np.zeros_like(a.data)
-        da[:, j0:j1] = g
-        a.accumulate(da)
-
-    return Tensor.from_op(out_data, (a,), "slice_cols", backward)
-
-
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    pos = a.data > 0
-    out_data = np.where(pos, a.data, slope * a.data)
-
-    def backward(g):
-        a.accumulate(g * np.where(pos, 1.0, slope))
-
-    return Tensor.from_op(out_data, (a,), "leaky_relu", backward)
-
-
 def relu(a: Tensor) -> Tensor:
     pos = a.data > 0
     out_data = np.where(pos, a.data, 0.0)
@@ -298,15 +274,6 @@ def elu(a: Tensor) -> Tensor:
         a.accumulate(g * np.where(pos, 1.0, expm1 + 1.0))
 
     return Tensor.from_op(out_data, (a,), "elu", backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def backward(g):
-        a.accumulate(g * (1.0 - out_data * out_data))
-
-    return Tensor.from_op(out_data, (a,), "tanh", backward)
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
@@ -381,28 +348,114 @@ def _expand_segments(seg_values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return np.repeat(seg_values, np.diff(indptr), axis=0)
 
 
-def segment_softmax(scores: Tensor, indptr: np.ndarray) -> Tensor:
-    """Softmax within each contiguous segment of a per-edge score vector.
+def _segment_softmax(x: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Softmax within each contiguous segment of the rows of ``x``, in place.
 
     Missing pairs are never materialized: normalizing only over existing
     edges is what masking absent entries to -inf would produce. Max
     subtraction keeps exponentials in range.
     """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    if indptr[-1] != scores.data.shape[0]:
-        raise ValueError("segment_softmax: segments must partition the edge list")
-    x = scores.data
-    m = _segment_reduce(np.maximum, x, indptr)
-    e = np.exp(x - _expand_segments(m, indptr))
-    s = _segment_reduce(np.add, e, indptr)
-    out_data = e / _expand_segments(s, indptr)
+    if indptr[-1] != x.shape[0]:
+        raise ValueError("segment softmax: segments must partition the edge list")
+    x -= _expand_segments(_segment_reduce(np.maximum, x, indptr), indptr)
+    np.exp(x, out=x)
+    x /= _expand_segments(_segment_reduce(np.add, x, indptr), indptr)
+    return x
+
+
+def _segment_softmax_grad(g: np.ndarray, out: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """The segment softmax adjoint: the gradient of its input, given its
+    output ``out`` and the gradient ``g`` of that output."""
+    gx = g * out
+    gx -= out * _expand_segments(_segment_reduce(np.add, gx, indptr), indptr)
+    return gx
+
+
+def _attention_scores(h, w_h, w_t, table, w_r, v_a, graph, slope, keep_tanh):
+    """Per-edge leaky_relu(v_a . tanh(W_h h_src || W_t h_dst || W_r r_rel)), shape (E, 1).
+
+    tanh acts elementwise, so the dot with the concatenation splits exactly
+    into three terms, one per endpoint, taken per node (or relation) and
+    gathered onto edges. Returns the scores, their sign mask and, with
+    ``keep_tanh``, the three tanh outputs (otherwise each is freed once its
+    term is taken), all plain arrays.
+    """
+    if graph.num_edges and int(graph.rel.max()) >= table.shape[0]:
+        raise ValueError(
+            f"relation id {int(graph.rel.max())} out of range for table of "
+            f"{table.shape[0]} relations"
+        )
+    d = w_h.shape[0]
+    if v_a.shape != (1, 3 * d):
+        raise ValueError(f"edge_attention: v_a must have shape (1, {3 * d}), got {v_a.shape}")
+    v = v_a.reshape(3, d)  # the source, destination and relation slices
+    tanhs, parts = [], []
+    for j, (x, w) in enumerate(((h, w_h), (h, w_t), (table, w_r))):
+        t = x @ w.T
+        np.tanh(t, out=t)
+        parts.append(t @ v[j:j + 1].T)
+        if keep_tanh:
+            tanhs.append(t)
+        del t  # else freed before the next projection is taken
+    src_part, dst_part, rel_part = parts
+    scores = src_part[graph.src]
+    scores += dst_part[graph.dst]
+    scores += rel_part[graph.rel]
+    pos = scores > 0
+    np.multiply(scores, slope, out=scores, where=~pos)
+    return scores, pos, tanhs
+
+
+def edge_attention(h: Tensor, w_h: Tensor, w_t: Tensor, relation_table: Tensor, w_r: Tensor,
+                   v_a: Tensor, graph, slope: float) -> Tensor:
+    """One head's row-stochastic per-edge attention, shape (E, 1), as one tape node.
+
+    Each edge (src, rel, dst) scores leaky_relu(v_a . tanh(W_h h_src ||
+    W_t h_dst || W_r r_rel)) (see ``_attention_scores``); the attention is
+    the softmax of the scores over each destination's incoming edges,
+    ``graph.in_indptr``.
+
+    The adjoint runs the softmax and leaky slope per edge, scatters the
+    three endpoint terms onto nodes and relations with ``np.bincount``,
+    then goes through each tanh and projection; ``h`` takes its destination
+    term before its source term. It keeps the three tanh outputs, the
+    attention and the sign mask when a gradient is recorded, and only the
+    attention otherwise.
+    """
+    if h.data.shape[0] != graph.num_nodes:
+        raise ValueError("edge_attention: feature rows must equal node count")
+    params = (h, w_h, w_t, relation_table, w_r, v_a)
+    recording = _grad_enabled and any(p.requires_grad for p in params)
+    scores, pos, tanhs = _attention_scores(*(p.data for p in params), graph, slope, recording)
+    att = _segment_softmax(scores, graph.in_indptr)
 
     def backward(g):
-        gy = g * out_data
-        seg = _segment_reduce(np.add, gy, indptr)
-        scores.accumulate(gy - out_data * _expand_segments(seg, indptr))
+        ge = _segment_softmax_grad(g, att, graph.in_indptr)
+        np.multiply(ge, slope, out=ge, where=~pos)
+        ge = ge[:, 0]
+        v = v_a.data.reshape(3, -1)
+        gv = np.zeros_like(v) if v_a.requires_grad else None
+        # relation term first, then destination, then source
+        for j, x, w, idx in ((2, relation_table, w_r, graph.rel), (1, h, w_t, graph.dst),
+                             (0, h, w_h, graph.src)):
+            t = tanhs[j]
+            gp = np.bincount(idx, ge, minlength=t.shape[0]).reshape(-1, 1)
+            if gv is not None:
+                gv[j] = (t.T @ gp)[:, 0]
+            if x.requires_grad or w.requires_grad:
+                # g * (1 - t*t) with g = gp v_j, built in t's buffer and one more
+                gt = gp * v[j]
+                t *= t
+                np.subtract(1.0, t, out=t)
+                gt *= t
+                if w.requires_grad:
+                    w.accumulate((x.data.T @ gt).T)
+                if x.requires_grad:
+                    x.accumulate(gt @ w.data, fresh=True)
+        if gv is not None:
+            v_a.accumulate(gv.reshape(1, -1), fresh=True)
 
-    return Tensor.from_op(out_data, (scores,), "segment_softmax", backward)
+    return Tensor.from_op(att, params, "edge_attention", backward)
 
 
 # edges per block of the attention adjoint: a row-dot over a cache-sized block

@@ -114,13 +114,11 @@ def distmult_scores(head_repr: Tensor, relation_vec: Tensor, all_entities: Tenso
 
 def smoothed_targets(tail_sets, num_entities: int, eps: float) -> np.ndarray:
     """Target rows: (1-eps) uniform over true tails plus eps uniform overall.
-    Each tail set is a set or an array of distinct entity ids."""
+    Each tail set is an int array of distinct entity ids."""
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"label smoothing must be in [0, 1), got {eps}")
     targets = np.full((len(tail_sets), num_entities), eps / num_entities)
     for i, tails in enumerate(tail_sets):
-        if not isinstance(tails, np.ndarray):
-            tails = np.fromiter(tails, dtype=np.int64, count=len(tails))
         if tails.size == 0:
             raise ValueError(f"empty tail set at row {i}")
         targets[i, tails] += (1.0 - eps) / tails.size

@@ -185,10 +185,76 @@ def random_graph(rng: np.random.Generator, n: int, extra_edges: int = 0,
 
 def random_attention(rng: np.random.Generator, graph: Graph) -> np.ndarray:
     """Row-stochastic per-edge attention from random scores, shape (E, 1)."""
-    from magna.attention import attention_weights
+    from magna.tape import _segment_softmax
 
-    scores = Tensor(rng.normal(size=(graph.num_edges, 1)))
-    return attention_weights(scores, graph).data.copy()
+    return _segment_softmax(rng.normal(size=(graph.num_edges, 1)), graph.in_indptr)
+
+
+# ---------------------------------------------------------------------------
+# one head's attention as a chain of one-line ops, the reference that
+# ``tape.edge_attention`` is pinned against bit for bit. The ops it needs
+# beyond the tape's own are written out here with their adjoints.
+
+
+def _chain_tanh(a: Tensor) -> Tensor:
+    out_data = np.tanh(a.data)
+
+    def backward(g):
+        a.accumulate(g * (1.0 - out_data * out_data))
+
+    return Tensor.from_op(out_data, (a,), "tanh", backward)
+
+
+def _chain_slice_cols(a: Tensor, j0: int, j1: int) -> Tensor:
+    def backward(g):
+        da = np.zeros_like(a.data)
+        da[:, j0:j1] = g
+        a.accumulate(da)
+
+    return Tensor.from_op(a.data[:, j0:j1].copy(), (a,), "slice_cols", backward)
+
+
+def _chain_leaky_relu(a: Tensor, slope: float) -> Tensor:
+    pos = a.data > 0
+
+    def backward(g):
+        a.accumulate(g * np.where(pos, 1.0, slope))
+
+    return Tensor.from_op(np.where(pos, a.data, slope * a.data), (a,), "leaky_relu", backward)
+
+
+def _chain_segment_softmax(scores: Tensor, indptr: np.ndarray) -> Tensor:
+    from magna.tape import _expand_segments, _segment_reduce
+
+    x = scores.data
+    e = np.exp(x - _expand_segments(_segment_reduce(np.maximum, x, indptr), indptr))
+    out_data = e / _expand_segments(_segment_reduce(np.add, e, indptr), indptr)
+
+    def backward(g):
+        gy = g * out_data
+        seg = _segment_reduce(np.add, gy, indptr)
+        scores.accumulate(gy - out_data * _expand_segments(seg, indptr))
+
+    return Tensor.from_op(out_data, (scores,), "segment_softmax", backward)
+
+
+def attention_chain(h, w_h, w_t, table, w_r, v_a, graph, slope):
+    """softmax per destination of leaky_relu(v_a . tanh(W_h h_src || W_t h_dst
+    || W_r r_rel)), one tape node per step (about 25 per head)."""
+    from magna.tape import add, gather_rows, matmul, transpose
+
+    d = w_h.shape[0]
+    th = _chain_tanh(matmul(h, transpose(w_h)))
+    tt = _chain_tanh(matmul(h, transpose(w_t)))
+    tr = _chain_tanh(matmul(table, transpose(w_r)))
+    part_h = matmul(th, transpose(_chain_slice_cols(v_a, 0, d)))
+    part_t = matmul(tt, transpose(_chain_slice_cols(v_a, d, 2 * d)))
+    part_r = matmul(tr, transpose(_chain_slice_cols(v_a, 2 * d, 3 * d)))
+    per_edge = add(
+        add(gather_rows(part_h, graph.src), gather_rows(part_t, graph.dst)),
+        gather_rows(part_r, graph.rel),
+    )
+    return _chain_segment_softmax(_chain_leaky_relu(per_edge, slope), graph.in_indptr)
 
 
 def separable_node_dataset(seed: int = 0, per_class: int = 10):

@@ -15,7 +15,7 @@ from magna.attention import (
 )
 from magna.graph import Graph
 from magna.optim import ParamStore
-from magna.tape import Tensor, layer_norm
+from magna.tape import Tensor, _segment_softmax, layer_norm
 
 from helpers import check_grad, path_graph, proj_loss, random_attention, random_graph
 
@@ -43,8 +43,7 @@ def make_head(store, prefix, dim, d_r, rng):
 
 def uniform_path():
     g = path_graph(3)
-    scores = Tensor(np.zeros((g.num_edges, 1)))
-    return g, attention_weights(scores, g)
+    return g, Tensor(_segment_softmax(np.zeros((g.num_edges, 1)), g.in_indptr))
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +76,7 @@ def test_zero_scoring_vector_gives_uniform_attention(rng):
     head = scalar_head(w=1.0, va=(0.0, 0.0, 0.0))
     rel = RelationTable(table=Tensor([[0.3]]))
     h = Tensor(rng.normal(size=(4, 1)))
-    att = attention_weights(edge_scores(h, g, head, rel), g)
+    att = attention_weights(h, g, head, rel)
     for node in range(4):
         seg = att.data[g.in_indptr[node] : g.in_indptr[node + 1]]
         assert_allclose(seg, np.full_like(seg, 1.0 / len(seg)))
@@ -106,10 +105,10 @@ def test_relation_id_out_of_table_range(rng):
 
 
 def test_uniform_scores_give_thirds():
-    g = Graph(2, 1, [(0, 0, 1), (1, 0, 1), (1, 0, 0)])
-    # node 1 has incoming from 0 and itself? build a clean 3-in case instead
     g = Graph(4, 1, [(0, 0, 3), (1, 0, 3), (2, 0, 3), (3, 0, 0)])
-    att = attention_weights(Tensor(np.zeros((4, 1))), g)
+    head = scalar_head(w=0.0, va=(0.0, 0.0, 0.0))  # every score 0
+    h = Tensor(np.arange(4.0).reshape(4, 1))
+    att = attention_weights(h, g, head, RelationTable(table=Tensor([[0.5]])))
     row = att.data[g.in_indptr[3] : g.in_indptr[4]]
     assert_allclose(row, np.full((3, 1), 1.0 / 3.0))
 
@@ -132,9 +131,9 @@ def test_shift_invariance_per_destination(rng):
     scores = rng.normal(size=(g.num_edges, 1))
     shift = rng.normal(size=g.num_nodes)
     shifted = scores + shift[g.dst][:, None]
-    a1 = attention_weights(Tensor(scores), g)
-    a2 = attention_weights(Tensor(shifted), g)
-    assert np.max(np.abs(a1.data - a2.data)) <= 1e-12
+    a1 = _segment_softmax(scores, g.in_indptr)
+    a2 = _segment_softmax(shifted, g.in_indptr)
+    assert np.max(np.abs(a1 - a2)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +246,7 @@ def test_gradients_through_diffusion(rng):
     cfg = DiffusionConfig(alpha=0.4, hops=4)
 
     def loss():
-        att = attention_weights(edge_scores(h, g, head, rel), g)
+        att = attention_weights(h, g, head, rel)
         return proj_loss(attention_diffusion(att, h, cfg, g), proj)
 
     params = {name: t for name, t in store.items()}

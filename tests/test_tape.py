@@ -7,16 +7,19 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from magna import tape
+from magna.graph import Graph
 from magna.model import MagnaNet, NetworkConfig
 from magna.optim import ParamStore
 from magna.tape import NonFiniteError, Tensor
 
 from helpers import (
+    attention_chain,
     check_grad,
     count_ops,
     finite_diff_grad,
     graph_nodes,
     path_graph,
+    peak_traced_bytes,
     proj_loss,
     random_attention,
     random_graph,
@@ -42,9 +45,22 @@ def test_layer_norm_constant_row_is_zero():
     assert_allclose(out.data, np.zeros((1, 3)))
 
 
+def _scalar_attention_inputs(h_values, w: float, va: float, requires_grad: bool = False):
+    """(h, w_h, w_t, table, w_r, v_a) of width 1, one relation."""
+    h = Tensor(np.array(h_values, dtype=float).reshape(-1, 1), requires_grad=requires_grad)
+    weights = [Tensor([[w]], requires_grad=requires_grad) for _ in range(2)]
+    table = Tensor([[0.1]], requires_grad=requires_grad)
+    w_r = Tensor([[w]], requires_grad=requires_grad)
+    v_a = Tensor([[va, va, va]], requires_grad=requires_grad)
+    return (h, *weights, table, w_r, v_a)
+
+
 def test_leaky_relu_negative_slope():
-    out = tape.leaky_relu(Tensor([[-1.0]]), slope=0.2)
-    assert out.data[0, 0] == pytest.approx(-0.2)
+    g = Graph(2, 1, [(0, 0, 1)])
+    params = [t.data for t in _scalar_attention_inputs([0.1, 0.1], 1.0, -1.0)]
+    scores, pos, _ = tape._attention_scores(*params, g, 0.2, False)
+    assert not pos.any()
+    assert scores[0, 0] == pytest.approx(-0.2 * 3.0 * np.tanh(0.1), abs=1e-15)
 
 
 def test_elu_matches_definition():
@@ -55,29 +71,34 @@ def test_elu_matches_definition():
 
 
 def test_tanh_grad_at_zero_matches_finite_differences():
-    x = Tensor(np.zeros((2, 3)), requires_grad=True)
-    loss = proj_loss(tape.tanh(x), np.ones((2, 3)))
-    loss.backward()
-    assert_allclose(x.grad, np.ones((2, 3)), atol=1e-12)
-    numeric = finite_diff_grad(lambda: float(np.tanh(x.data).sum()), x.data)
-    assert np.max(np.abs(x.grad - numeric)) < 1e-6
+    # zero node projections put their tanh at 0, where its slope is 1; the
+    # relation term keeps every score positive, away from the leaky kink
+    g = Graph(3, 1, [(0, 0, 2), (1, 0, 2), (2, 0, 2), (2, 0, 0), (2, 0, 1)])
+    params = _scalar_attention_inputs([0.5, -1.0, 2.0], 0.0, 1.0, requires_grad=True)
+    w_h, w_r = params[1], params[4]
+    w_r.data[:] = 1.0
+    proj = np.array([[1.0], [0.0], [-1.0], [1.0], [2.0]])  # edges in destination order
+    check_grad(lambda: proj_loss(tape.edge_attention(*params, g, 0.2), proj), {"w_h": w_h})
+    # node 2's three edges share weight 1/3, and a unit of w_h moves each
+    # score by its source's h: sum_e proj_e / 3 * (h_src(e) - mean h) = 0.5
+    assert w_h.grad[0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_segment_softmax_values():
     indptr = np.array([0, 2])
-    out = tape.segment_softmax(Tensor([[0.0], [0.0]]), indptr)
-    assert_allclose(out.data, [[0.5], [0.5]])
+    out = tape._segment_softmax(np.array([[0.0], [0.0]]), indptr)
+    assert_allclose(out, [[0.5], [0.5]])
 
-    out = tape.segment_softmax(Tensor([[np.log(2.0)], [0.0]]), indptr)
-    assert_allclose(out.data, [[2.0 / 3.0], [1.0 / 3.0]])
+    out = tape._segment_softmax(np.array([[np.log(2.0)], [0.0]]), indptr)
+    assert_allclose(out, [[2.0 / 3.0], [1.0 / 3.0]])
 
-    out = tape.segment_softmax(Tensor([[123.4]]), np.array([0, 1]))
-    assert_allclose(out.data, [[1.0]])
+    out = tape._segment_softmax(np.array([[123.4]]), np.array([0, 1]))
+    assert_allclose(out, [[1.0]])
 
 
 def test_segment_softmax_rejects_bad_partition():
     with pytest.raises(ValueError):
-        tape.segment_softmax(Tensor([[0.0], [0.0]]), np.array([0, 1]))
+        tape._segment_softmax(np.array([[0.0], [0.0]]), np.array([0, 1]))
 
 
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=24), st.data())
@@ -86,10 +107,10 @@ def test_segment_softmax_rows_sum_to_one(scores, data):
         data.draw(st.lists(st.integers(0, len(scores)), max_size=5), label="cuts")
     )
     indptr = np.array([0] + cuts + [len(scores)])
-    out = tape.segment_softmax(Tensor(np.array(scores)[:, None]), indptr)
+    out = tape._segment_softmax(np.array(scores)[:, None], indptr)
     for a, b in zip(indptr[:-1], indptr[1:]):
         if b > a:
-            seg = out.data[a:b]
+            seg = out[a:b]
             assert (seg > 0).all()
             assert abs(seg.sum() - 1.0) <= 1e-12
 
@@ -181,9 +202,9 @@ def test_dropout_scales_kept_entries():
 
 def test_count_ops_walks_graph_once():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
-    y = tape.tanh(x)
+    y = tape.elu(x)
     z = tape.add(y, y)
-    assert count_ops(z, "tanh") == 1
+    assert count_ops(z, "elu") == 1
     assert count_ops(z, "add") == 1
 
 
@@ -218,26 +239,22 @@ def test_grad_mul_broadcast_column(rng):
     check_grad(lambda: proj_loss(tape.mul(a, b), proj), {"a": a, "b": b})
 
 
-def test_grad_concat_and_slice(rng):
+def test_grad_concat_cols(rng):
     a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     proj_cat = rng.normal(size=(3, 6))
     check_grad(lambda: proj_loss(tape.concat_cols([a, b]), proj_cat), {"a": a, "b": b})
-    proj_slice = rng.normal(size=(3, 2))
-    check_grad(lambda: proj_loss(tape.slice_cols(b, 1, 3), proj_slice), {"b": b})
 
 
-@pytest.mark.parametrize("op", ["leaky_relu", "relu", "elu", "tanh"])
+@pytest.mark.parametrize("op", ["relu", "elu"])
 def test_grad_elementwise(rng, op):
     # keep inputs away from the relu-family kink so differences are valid
     base = rng.uniform(0.2, 1.5, size=(4, 3)) * rng.choice([-1.0, 1.0], size=(4, 3))
     a = Tensor(base, requires_grad=True)
     proj = rng.normal(size=(4, 3))
     fn = {
-        "leaky_relu": lambda: tape.leaky_relu(a, 0.2),
         "relu": lambda: tape.relu(a),
         "elu": lambda: tape.elu(a),
-        "tanh": lambda: tape.tanh(a),
     }[op]
     check_grad(lambda: proj_loss(fn(), proj), {"a": a})
 
@@ -306,7 +323,69 @@ def test_grad_segment_softmax(rng):
     indptr = np.array([0, 3, 3, 7])
     a = Tensor(rng.normal(size=(7, 1)), requires_grad=True)
     proj = rng.normal(size=(7, 1))
-    check_grad(lambda: proj_loss(tape.segment_softmax(a, indptr), proj), {"a": a})
+
+    def softmax():
+        out = tape._segment_softmax(a.data.copy(), indptr)
+        return Tensor.from_op(out, (a,), "segment_softmax",
+                              lambda g: a.accumulate(tape._segment_softmax_grad(g, out, indptr)))
+
+    check_grad(lambda: proj_loss(softmax(), proj), {"a": a})
+
+
+def _attention_case(rng, shape, num_relations=3, relation_dim=8):
+    """A graph with ``shape[0]`` nodes and the six inputs of one head of
+    width ``shape[1]``, as arrays."""
+    n, d = shape
+    g = random_graph(rng, n, extra_edges=n, num_relations=num_relations)
+    values = [rng.normal(size=(n, d)),
+              *(rng.normal(size=(d, d)) / np.sqrt(d) for _ in range(2)),
+              rng.normal(size=(num_relations, relation_dim)),
+              rng.normal(size=(d, relation_dim)) / np.sqrt(relation_dim),
+              rng.normal(size=(1, 3 * d))]
+    return g, values
+
+
+@pytest.mark.parametrize("h_grad", [True, False])
+@pytest.mark.parametrize("shape", [(7, 5), (2708, 64), (4094, 32)])
+def test_edge_attention_matches_op_chain_bitwise(rng, shape, h_grad):
+    g, values = _attention_case(rng, shape)
+    proj, proj_h = rng.normal(size=(g.num_edges, 1)), rng.normal(size=shape)
+    results = []
+    for attend in (tape.edge_attention, attention_chain):
+        inputs = [Tensor(v.copy(), requires_grad=h_grad or i > 0) for i, v in enumerate(values)]
+        out = attend(*inputs, g, 0.2)
+        # a second use of h gives it a third gradient term, so its summation order shows
+        tape.add(proj_loss(out, proj), proj_loss(inputs[0], proj_h)).backward()
+        with tape.no_grad():
+            plain = attend(*(Tensor(v, requires_grad=True) for v in values), g, 0.2)
+        assert not plain.requires_grad
+        results.append([out.data, plain.data] + [t.grad for t in inputs])
+        assert count_ops(out, "edge_attention") == (1 if attend is tape.edge_attention else 0)
+    assert (results[0][2] is not None) == h_grad
+    for got, want in zip(*results):
+        assert (got is None and want is None) or np.array_equal(got, want)
+
+
+def test_edge_attention_holds_no_more_than_op_chain_without_grad(rng):
+    # kg_train shape: 4,094 nodes, 32 wide, 22 relations
+    g, values = _attention_case(rng, (4094, 32), num_relations=22)
+    peaks = []
+    for attend in (tape.edge_attention, attention_chain):
+        inputs = [Tensor(v, requires_grad=True) for v in values]
+        with tape.no_grad():
+            peaks.append(peak_traced_bytes(lambda: attend(*inputs, g, 0.2)))
+    assert peaks[0] <= peaks[1], peaks
+    # one (N, d) tanh output at a time, and a few per-edge columns
+    assert peaks[0] < 1.5 * values[0].nbytes, peaks
+
+
+def test_edge_attention_rejects_mismatched_inputs(rng):
+    g, values = _attention_case(rng, (7, 5))
+    inputs = [Tensor(v) for v in values]
+    with pytest.raises(ValueError, match="node count"):
+        tape.edge_attention(Tensor(values[0][:6]), *inputs[1:], g, 0.2)
+    with pytest.raises(ValueError, match="v_a"):
+        tape.edge_attention(*inputs[:5], Tensor(values[5][:, :10]), g, 0.2)
 
 
 def test_grad_edge_spmm(rng):
@@ -327,11 +406,11 @@ def test_grad_edge_spmm(rng):
 
 def test_backward_accumulates_through_shared_subexpression(rng):
     x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    y = tape.tanh(x)
+    y = tape.elu(x)
     out = tape.add(y, y)
     loss = proj_loss(out, np.ones((3, 3)))
     loss.backward()
-    numeric = finite_diff_grad(lambda: float(2 * np.tanh(x.data).sum()), x.data)
+    numeric = finite_diff_grad(lambda: float(2 * np.where(x.data > 0, x.data, np.expm1(x.data)).sum()), x.data)
     assert rel_error(x.grad, numeric) < 1e-6
 
 
@@ -411,7 +490,7 @@ def test_backward_frees_hop_states_while_root_is_held(rng):
 
 def test_second_backward_on_consumed_graph_raises(rng):
     x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    loss = proj_loss(tape.tanh(x), np.ones((3, 3)))
+    loss = proj_loss(tape.elu(x), np.ones((3, 3)))
     loss.backward()
     grad = x.grad.copy()
     with pytest.raises(RuntimeError, match="consumed"):
@@ -421,7 +500,7 @@ def test_second_backward_on_consumed_graph_raises(rng):
 
 def test_new_loss_on_consumed_intermediate_raises(rng):
     x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    y = tape.tanh(x)
+    y = tape.elu(x)
     proj_loss(y, np.ones((3, 3))).backward()
     grad = x.grad.copy()
     with pytest.raises(RuntimeError, match="consumed"):

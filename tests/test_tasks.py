@@ -31,6 +31,11 @@ from helpers import (
 )
 
 
+def tail_arrays(*tails):
+    """Tail sets as the int arrays ``smoothed_targets`` takes."""
+    return [np.array(t, dtype=np.int64) for t in tails]
+
+
 # ---------------------------------------------------------------------------
 # classification loss
 
@@ -118,7 +123,7 @@ def test_distmult_gradients(rng):
     head = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     relw = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     ents = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    targets = smoothed_targets([{0}, {2, 3}], 4, 0.1)
+    targets = smoothed_targets(tail_arrays([0], [2, 3]), 4, 0.1)
     check_grad(
         lambda: kl_label_smoothing_loss(distmult_scores(head, relw, ents), targets),
         {"head": head, "relw": relw, "ents": ents},
@@ -130,7 +135,7 @@ def test_distmult_gradients(rng):
 
 
 def test_kl_no_smoothing_uniform_logits_is_log_n():
-    targets = smoothed_targets([{2}], 5, 0.0)
+    targets = smoothed_targets(tail_arrays([2]), 5, 0.0)
     loss = kl_label_smoothing_loss(Tensor(np.zeros((1, 5))), targets)
     assert float(loss.data) == pytest.approx(np.log(5.0), abs=1e-12)
 
@@ -138,13 +143,13 @@ def test_kl_no_smoothing_uniform_logits_is_log_n():
 def test_kl_spike_on_true_tail_is_near_zero():
     logits = np.zeros((1, 6))
     logits[0, 4] = 1e3
-    targets = smoothed_targets([{4}], 6, 0.0)
+    targets = smoothed_targets(tail_arrays([4]), 6, 0.0)
     loss = kl_label_smoothing_loss(Tensor(logits), targets)
     assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_smoothed_two_of_four_hand_value():
-    targets = smoothed_targets([{0, 1}], 4, 0.1)
+    targets = smoothed_targets(tail_arrays([0, 1]), 4, 0.1)
     assert_allclose(targets, [[0.475, 0.475, 0.025, 0.025]])
     loss = kl_label_smoothing_loss(Tensor(np.zeros((1, 4))), targets)
     expected = sum(t * np.log(t / 0.25) for t in (0.475, 0.475, 0.025, 0.025))
@@ -152,7 +157,7 @@ def test_kl_smoothed_two_of_four_hand_value():
 
 
 def test_kl_zero_iff_distributions_match():
-    targets = smoothed_targets([{1, 3}], 4, 0.2)
+    targets = smoothed_targets(tail_arrays([1, 3]), 4, 0.2)
     logits = Tensor(np.log(targets))
     loss = kl_label_smoothing_loss(logits, targets)
     assert 0.0 <= float(loss.data) <= 1e-9
@@ -162,7 +167,7 @@ def test_kl_zero_iff_distributions_match():
 
 def test_kl_nonnegative_random(rng):
     for _ in range(20):
-        targets = smoothed_targets([set(rng.choice(8, size=2, replace=False))], 8, float(rng.uniform(0, 0.5)))
+        targets = smoothed_targets([rng.choice(8, size=2, replace=False)], 8, float(rng.uniform(0, 0.5)))
         loss = kl_label_smoothing_loss(Tensor(rng.normal(size=(1, 8))), targets)
         assert float(loss.data) >= 0.0
 
@@ -187,7 +192,7 @@ def _kl_loss_with_fresh_arrays(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 @pytest.mark.parametrize("eps", [0.1, 0.0])
 def test_kl_in_place_matches_fresh_array_formula_bitwise(rng, eps):
-    tails = [set(rng.choice(50, size=int(rng.integers(1, 4)), replace=False)) for _ in range(7)]
+    tails = [rng.choice(50, size=int(rng.integers(1, 4)), replace=False) for _ in range(7)]
     targets = smoothed_targets(tails, 50, eps)
     assert (targets == 0).any() == (eps == 0.0)  # eps = 0 leaves zeros for the log to skip
     original = targets.copy()
@@ -206,7 +211,7 @@ def test_kl_in_place_matches_fresh_array_formula_bitwise(rng, eps):
 
 
 def test_kl_loss_peak_memory_is_three_rows_of_buffers(rng):
-    targets = smoothed_targets([{i, 3 * i} for i in range(1, 9)], 20_000, 0.1)
+    targets = smoothed_targets([np.array([i, 3 * i]) for i in range(1, 9)], 20_000, 0.1)
     logits_values = rng.normal(size=targets.shape)
 
     def forward_backward(loss_fn):
@@ -221,7 +226,7 @@ def test_kl_loss_peak_memory_is_three_rows_of_buffers(rng):
 
 
 def test_kl_loss_backward_hands_its_buffer_to_the_logits(rng):
-    targets = smoothed_targets([{i, 3 * i} for i in range(1, 9)], 20_000, 0.1)
+    targets = smoothed_targets([np.array([i, 3 * i]) for i in range(1, 9)], 20_000, 0.1)
     logits = Tensor(rng.normal(size=targets.shape), requires_grad=True)
     loss = kl_label_smoothing_loss(logits, targets)
     # copying the gradient would allocate one more batch x entities array
@@ -230,19 +235,20 @@ def test_kl_loss_backward_hands_its_buffer_to_the_logits(rng):
 
 
 def test_tail_arrays_in_any_order_give_the_set_targets():
-    want = smoothed_targets([{7, 2, 30}, {4}], 40, 0.1)
-    got = smoothed_targets([np.array([30, 2, 7]), np.array([4])], 40, 0.1)
+    want = smoothed_targets(tail_arrays([2, 7, 30], [4]), 40, 0.1)
+    got = smoothed_targets(tail_arrays([30, 2, 7], [4]), 40, 0.1)
     assert np.array_equal(got, want)
+    assert np.array_equal(np.flatnonzero(want[0] > 0.1 / 40), [2, 7, 30])
 
 
 def test_empty_tail_set_rejected():
     with pytest.raises(ValueError, match="empty tail set"):
-        smoothed_targets([set()], 4, 0.1)
+        smoothed_targets(tail_arrays([]), 4, 0.1)
 
 
 def test_smoothing_bounds():
     with pytest.raises(ValueError):
-        smoothed_targets([{0}], 4, 1.0)
+        smoothed_targets(tail_arrays([0]), 4, 1.0)
 
 
 # ---------------------------------------------------------------------------
