@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -94,10 +95,18 @@ def _prepare_out(path: str) -> str:
     return path
 
 
-def _write_train_outputs(out_dir: str, report, store, checkpoint_config: dict) -> None:
+def _timed_load(load, path: str):
+    """``load(path)`` and the seconds it took."""
+    start = time.monotonic()
+    dataset = load(path)
+    return dataset, time.monotonic() - start
+
+
+def _write_train_outputs(out_dir: str, report, store, checkpoint_config: dict,
+                         load_seconds: float) -> None:
     _write_json(os.path.join(out_dir, "metrics.json"), report.metrics_dict())
-    full = report.to_dict()
-    _write_json(os.path.join(out_dir, "train_report.json"), full)
+    _write_json(os.path.join(out_dir, "train_report.json"),
+                {**report.to_dict(), "load_seconds": load_seconds})
     save_checkpoint(os.path.join(out_dir, "checkpoint.json"), store, checkpoint_config)
 
 
@@ -109,13 +118,13 @@ def cmd_train_node(args) -> int:
     net_cfg, train_cfg = load_run_config(args.config)
     train_cfg = TrainConfig.from_dict({**train_cfg.to_dict(), "seed": args.seed,
                                        "epochs": train_cfg.epoch_cap("node")})
-    dataset = load_node_dataset(args.data)
+    dataset, load_seconds = _timed_load(load_node_dataset, args.data)
     out = _prepare_out(args.out)
     _write_resolved_config(out, "node", args.seed, {"data": args.data}, net_cfg, train_cfg)
     report, model = train_node_classifier(dataset, net_cfg, train_cfg)
     ckpt_cfg = {"task": "node", "network": net_cfg.to_dict(),
                 "in_dim": dataset.features.shape[1], "num_classes": dataset.num_classes}
-    _write_train_outputs(out, report, model.store, ckpt_cfg)
+    _write_train_outputs(out, report, model.store, ckpt_cfg, load_seconds)
     print(f"best_epoch={report.best_epoch} val={report.best_val:.4f} test={report.test_metric:.4f}")
     return 0
 
@@ -124,12 +133,12 @@ def cmd_train_kg(args) -> int:
     net_cfg, train_cfg = load_run_config(args.config)
     train_cfg = TrainConfig.from_dict({**train_cfg.to_dict(), "seed": args.seed,
                                        "epochs": train_cfg.epoch_cap("kg")})
-    kg = load_kg_dataset(args.data)
+    kg, load_seconds = _timed_load(load_kg_dataset, args.data)
     out = _prepare_out(args.out)
     _write_resolved_config(out, "kg", args.seed, {"data": args.data}, net_cfg, train_cfg)
     report, model = train_kg(kg, net_cfg, train_cfg)
     ckpt_cfg = {"task": "kg", "network": net_cfg.to_dict(), "entity_dim": 100}
-    _write_train_outputs(out, report, model.store, ckpt_cfg)
+    _write_train_outputs(out, report, model.store, ckpt_cfg, load_seconds)
     print(f"best_epoch={report.best_epoch} val_mrr={report.best_val:.4f} test_mrr={report.test_metric:.4f}")
     return 0
 
@@ -191,7 +200,7 @@ def cmd_search(args) -> int:
         validate_space(space)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    dataset = load_node_dataset(args.data) if task == "node" else load_kg_dataset(args.data)
+    dataset, load_seconds = _timed_load(load_node_dataset if task == "node" else load_kg_dataset, args.data)
     out = _prepare_out(args.out)
     _write_resolved_config(out, f"search-{task}", args.seed,
                            {"data": args.data, "space": space, "trials": args.trials,
@@ -206,6 +215,7 @@ def cmd_search(args) -> int:
         for rank, row in enumerate(rows, start=1):
             writer.writerow([rank, row["trial"], repr(row["val_metric"]), repr(row["test_metric"]),
                              row["best_epoch"], row["seed"]] + [repr(row["params"][n]) for n in names])
+    _write_json(os.path.join(out, "train_report.json"), {"seed": args.seed, "load_seconds": load_seconds})
     best = rows[0]
     print(f"best trial {best['trial']}: val={best['val_metric']:.4f} params={best['params']}")
     return 0

@@ -193,6 +193,17 @@ def _parse_int(text: str, what: str, path: str, line: int) -> int:
         raise GraphFormatError(f"bad {what} {text!r}", path, line) from None
 
 
+def _repeat_line(rows: np.ndarray, lines) -> int | None:
+    """The line of the first of ``rows`` equal to an earlier row, or None
+    when no row repeats; ``lines[i]`` is the line of ``rows[i]``."""
+    seen = set()
+    for row, line in zip(map(tuple, rows.tolist()), lines):
+        if row in seen:
+            return int(line)
+        seen.add(row)
+    return None
+
+
 def read_edge_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse an edges.tsv file of ``src<TAB>dst[<TAB>relation]`` rows.
 
@@ -217,37 +228,69 @@ def read_edge_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows, dtype=np.int64).reshape(-1, 3), np.array(lines, dtype=np.int64)
 
 
+def _parse_features(path: str, lines: list[tuple[int, str]]) -> np.ndarray:
+    """The per-line ``float()`` parse of features.tsv lines. It defines the
+    accepted syntax and reports the first fault at its line."""
+    rows = {}
+    width = None
+    for lineno, line in lines:
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise GraphFormatError("expected node_id<TAB>values", path, lineno)
+        nid = _parse_int(parts[0], "node id", path, lineno)
+        try:
+            vec = [float(v) for v in parts[1].split(",")]
+        except ValueError:
+            raise GraphFormatError("bad feature value", path, lineno) from None
+        if width is None:
+            width = len(vec)
+        elif len(vec) != width:
+            raise GraphFormatError(f"ragged feature row ({len(vec)} values, expected {width})", path, lineno)
+        if nid in rows:
+            raise GraphFormatError(f"duplicate node id {nid}", path, lineno)
+        rows[nid] = vec
+    num_nodes = len(rows)
+    if num_nodes == 0:
+        raise GraphFormatError("no feature rows", path)
+    if sorted(rows) != list(range(num_nodes)):
+        raise GraphFormatError("node ids must be exactly 0..N-1", path)
+    return np.array([rows[i] for i in range(num_nodes)], dtype=np.float64)
+
+
+def _read_features(path: str) -> np.ndarray:
+    """features.tsv as an (N, d) float64 array, row ``i`` for node ``i``.
+
+    numpy's C reader parses all values in one call. Like ``float()`` it ends
+    in ``PyOS_string_to_double``, so a block it accepts has ``float()``'s
+    bits, with one exception: it strips \\x1c-\\x1f around a value, which
+    ``float()`` rejects. A file with a fault, with one of those characters,
+    or with syntax only ``float()`` reads (underscores, non-ASCII digits)
+    goes to ``_parse_features``.
+    """
+    lines = _read_lines(path)
+    fields = [line.split("\t") for _, line in lines]
+    # numpy skips an empty line, so an empty values field would drop its row
+    if fields and all(len(parts) == 2 and parts[1] for parts in fields):
+        values = [parts[1] for parts in fields]
+        try:
+            ids = [int(parts[0]) for parts in fields]
+            in_order = list(range(len(ids)))
+            if sorted(ids) == in_order and not any(c in v for v in values for c in "\x1c\x1d\x1e\x1f"):
+                features = np.loadtxt(values, delimiter=",", comments=None, ndmin=2)
+                return features if ids == in_order else features[np.argsort(ids)]
+        except ValueError:
+            pass
+    return _parse_features(path, lines)
+
+
 def load_node_dataset(directory: str) -> NodeDataset:
     """Load a node-classification dataset from its TSV directory.
 
     Edges are treated as undirected and stored in both directions; rows
     without a relation column get relation id 0.
     """
-    feat_path = os.path.join(directory, "features.tsv")
-    rows = {}
-    width = None
-    for lineno, line in _read_lines(feat_path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise GraphFormatError("expected node_id<TAB>values", feat_path, lineno)
-        nid = _parse_int(parts[0], "node id", feat_path, lineno)
-        try:
-            vec = [float(v) for v in parts[1].split(",")]
-        except ValueError:
-            raise GraphFormatError("bad feature value", feat_path, lineno) from None
-        if width is None:
-            width = len(vec)
-        elif len(vec) != width:
-            raise GraphFormatError(f"ragged feature row ({len(vec)} values, expected {width})", feat_path, lineno)
-        if nid in rows:
-            raise GraphFormatError(f"duplicate node id {nid}", feat_path, lineno)
-        rows[nid] = vec
-    num_nodes = len(rows)
-    if num_nodes == 0:
-        raise GraphFormatError("no feature rows", feat_path)
-    if sorted(rows) != list(range(num_nodes)):
-        raise GraphFormatError("node ids must be exactly 0..N-1", feat_path)
-    features = np.array([rows[i] for i in range(num_nodes)], dtype=np.float64)
+    features = _read_features(os.path.join(directory, "features.tsv"))
+    num_nodes = len(features)
 
     def check_node(nid, path, lineno):
         if not 0 <= nid < num_nodes:
@@ -273,6 +316,8 @@ def load_node_dataset(directory: str) -> NodeDataset:
         check_node(nid, label_path, lineno)
         if cls < 0:
             raise GraphFormatError("class id must be nonnegative", label_path, lineno)
+        if labels[nid] >= 0:
+            raise GraphFormatError(f"node {nid} labelled more than once", label_path, lineno)
         labels[nid] = cls
     num_classes = int(labels.max()) + 1 if (labels >= 0).any() else 0
 
@@ -297,7 +342,10 @@ def load_node_dataset(directory: str) -> NodeDataset:
     try:
         graph = Graph(num_nodes, num_relations, edges)
     except GraphFormatError as exc:
-        raise GraphFormatError(str(exc), edge_path) from None
+        # a row repeats an earlier one if both name the same pair either way round
+        pairs = np.sort(rows[:, ::2], axis=1)
+        undirected = np.stack([pairs[:, 0], rows[:, 1], pairs[:, 1]], axis=1)
+        raise GraphFormatError(str(exc), edge_path, _repeat_line(undirected, lines)) from None
     return NodeDataset(graph, features, labels, split, num_classes)
 
 
@@ -335,14 +383,18 @@ def save_node_dataset(ds: NodeDataset, directory: str) -> None:
 # knowledge graph I/O
 
 
-def _read_triples(path: str) -> list[tuple[str, str, str]]:
-    triples = []
-    for lineno, line in _read_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 3:
+def _read_triples(path: str, entity_ids: dict, relation_ids: dict) -> tuple[np.ndarray, list[int]]:
+    """Parse a ``head<TAB>relation<TAB>tail`` file into an (n, 3) int64 id
+    array, interning new names into the two dicts in order of appearance
+    (head before tail). Also returns each row's line number."""
+    lines = _read_lines(path)
+    for lineno, line in lines:
+        if line.count("\t") != 2:
             raise GraphFormatError("expected head<TAB>relation<TAB>tail", path, lineno)
-        triples.append(tuple(parts))
-    return triples
+    entity, relation = entity_ids.setdefault, relation_ids.setdefault
+    ids = [(entity(h, len(entity_ids)), relation(r, len(relation_ids)), entity(t, len(entity_ids)))
+           for h, r, t in (line.split("\t") for _, line in lines)]
+    return np.array(ids, dtype=np.int64).reshape(-1, 3), [lineno for lineno, _ in lines]
 
 
 def load_kg_dataset(directory: str) -> KgDataset:
@@ -353,33 +405,18 @@ def load_kg_dataset(directory: str) -> KgDataset:
     holds every train triple in both directions: relation ``k`` gets a
     reverse twin ``k + num_relations``.
     """
-    raw = {name: _read_triples(os.path.join(directory, f"{name}.txt")) for name in ("train", "valid", "test")}
-
     entity_ids: dict[str, int] = {}
     relation_ids: dict[str, int] = {}
-    for name in ("train", "valid", "test"):
-        for h, r, t in raw[name]:
-            for ent in (h, t):
-                if ent not in entity_ids:
-                    entity_ids[ent] = len(entity_ids)
-            if r not in relation_ids:
-                relation_ids[r] = len(relation_ids)
-
-    def to_ids(triples):
-        if not triples:
-            return np.zeros((0, 3), dtype=np.int64)
-        return np.array(
-            [(entity_ids[h], relation_ids[r], entity_ids[t]) for h, r, t in triples],
-            dtype=np.int64,
-        )
-
-    train, valid, test = (to_ids(raw[n]) for n in ("train", "valid", "test"))
+    (train, train_lines), (valid, _), (test, _) = (
+        _read_triples(os.path.join(directory, f"{name}.txt"), entity_ids, relation_ids)
+        for name in ("train", "valid", "test"))
     n_rel = len(relation_ids)
 
     try:
         graph = Graph(len(entity_ids), 2 * n_rel, kg_queries(train, n_rel))
     except GraphFormatError as exc:
-        raise GraphFormatError(str(exc), os.path.join(directory, "train.txt")) from None
+        raise GraphFormatError(str(exc), os.path.join(directory, "train.txt"),
+                               _repeat_line(train, train_lines)) from None
 
     # ids follow insertion order, so each dict's keys are its names by id
     return KgDataset(graph, list(entity_ids), list(relation_ids), train, valid, test,

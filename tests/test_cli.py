@@ -82,6 +82,19 @@ def test_analyze_spectrum_bad_edge_file_names_line(tmp_path, capsys, content, li
     assert f"{graph_file}:{line}:" in capsys.readouterr().err
 
 
+def assert_timing_only_in_report(out):
+    """The dataset load's time is in train_report.json, and metrics.json
+    holds exactly the report's metrics, byte for byte."""
+    with open(os.path.join(out, "train_report.json")) as fh:
+        report = json.load(fh)
+    assert report["load_seconds"] > 0 and report["wall_seconds"] > 0
+    metrics = {"task": report["task"], "seed": report["seed"], "best_epoch": report["best_epoch"],
+               "val_metric": report["best_val"], "test_metric": report["test_metric"]}
+    expected = json.dumps(metrics, indent=2, sort_keys=True) + "\n"
+    with open(os.path.join(out, "metrics.json"), "rb") as fh:
+        assert fh.read() == expected.encode()
+
+
 def test_train_node_is_byte_deterministic(node_dir, tiny_config, tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -95,8 +108,7 @@ def test_train_node_is_byte_deterministic(node_dir, tiny_config, tmp_path):
     metrics = json.loads(blobs[0])
     assert set(metrics) == {"task", "seed", "best_epoch", "val_metric", "test_metric"}
     assert metrics["seed"] == 7
-    report = json.load(open(os.path.join(outs[0], "train_report.json")))
-    assert report["wall_seconds"] > 0
+    assert_timing_only_in_report(outs[0])
     resolved = json.load(open(os.path.join(outs[0], "config.resolved.json")))
     assert resolved["network"]["blocks"] == 1
     assert resolved["train"]["lr"] == 0.02
@@ -228,6 +240,7 @@ def test_train_kg_is_byte_deterministic(kg_dir, tiny_config, tmp_path):
         assert rc == 0
         blobs.append(open(os.path.join(out, "metrics.json"), "rb").read())
     assert blobs[0] == blobs[1]
+    assert_timing_only_in_report(out)
 
 
 def test_search_cli_on_kg_data(kg_dir, tiny_config, tmp_path):
@@ -242,6 +255,9 @@ def test_search_cli_on_kg_data(kg_dir, tiny_config, tmp_path):
     assert len(rows) == 2
     resolved = json.load(open(os.path.join(out, "config.resolved.json")))
     assert resolved["task"] == "search-kg"
+    with open(os.path.join(out, "train_report.json")) as fh:
+        report = json.load(fh)
+    assert report["seed"] == 4 and report["load_seconds"] > 0
 
 
 def test_sweep_script_runs(node_dir, tiny_config, tmp_path):

@@ -22,7 +22,7 @@ from magna.graph import (
 )
 
 from conftest import require_dataset
-from helpers import answer_sets, known_set, path_graph, star_graph
+from helpers import answer_sets, known_set, path_graph, peak_traced_bytes, star_graph
 
 
 def write_node_dataset(directory, features, edges, labels, splits):
@@ -110,11 +110,23 @@ def test_unknown_split_token_rejected(tmp_path):
 
 
 def test_duplicate_edges_rejected(tmp_path):
-    d = str(tmp_path / "dup")
-    write_node_dataset(
-        d, [(0, [1.0]), (1, [1.0])], [(0, 1), (1, 0)], [(0, 0), (1, 0)], []
-    )
-    with pytest.raises(GraphFormatError, match="duplicate"):
+    # (edges.tsv rows, line of the first repeat): the same pair either way
+    # round, a repeated self loop, the same pair and relation with a column
+    for i, (edges, line) in enumerate([([(0, 1), (1, 0)], 2),
+                                       ([(0, 0), (0, 1), (1, 2), (0, 0)], 4),
+                                       ([(0, 1, 1), (0, 1), (1, 0, 1)], 3)]):
+        d = str(tmp_path / f"dup{i}")
+        write_node_dataset(
+            d, [(0, [1.0]), (1, [1.0]), (2, [1.0])], edges, [(0, 0), (1, 0), (2, 0)], []
+        )
+        with pytest.raises(GraphFormatError, match=rf"edges.tsv:{line}: duplicate \(src, rel, dst\) edge$"):
+            load_node_dataset(d)
+
+
+def test_duplicate_label_row_rejected(tmp_path):
+    d = str(tmp_path / "labels")
+    write_node_dataset(d, [(0, [1.0]), (1, [1.0])], [(0, 1)], [(0, 0), (1, 1), (0, 0)], [])
+    with pytest.raises(GraphFormatError, match="labels.tsv:3: node 0 labelled more than once$"):
         load_node_dataset(d)
 
 
@@ -159,6 +171,138 @@ def test_cora_sizes():
     assert ds.mask(SPLIT_TRAIN).sum() == 140
     assert ds.mask(SPLIT_VAL).sum() == 500
     assert ds.mask(SPLIT_TEST).sum() == 1000
+
+
+# ---------------------------------------------------------------------------
+# features.tsv: faults, accepted syntax and bits
+
+
+def write_features(directory, text):
+    """A node dataset whose features.tsv holds ``text``; its other files are
+    empty, which loads as a graph without edges, labels or splits."""
+    os.makedirs(directory, exist_ok=True)
+    with open(os.path.join(directory, "features.tsv"), "w", encoding="utf-8") as fh:
+        fh.write(text)
+    for name in ("edges.tsv", "labels.tsv", "splits.tsv"):
+        open(os.path.join(directory, name), "w").close()
+    return os.path.join(directory, "features.tsv")
+
+
+def per_token_features(path):
+    """Reference parse: ``float()`` on every token, rows ordered by node id."""
+    rows = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                nid, values = line.rstrip("\n").split("\t")
+                rows[int(nid)] = [float(v) for v in values.split(",")]
+    return np.array([rows[i] for i in range(len(rows))], dtype=np.float64)
+
+
+# (file text, line of the fault or None, message); blank lines count
+FEATURE_FAULTS = [
+    ("0\t1.0\n1\t2.0\t3.0\n", 2, "expected node_id<TAB>values"),
+    ("0\t1.0\n1 2.0\n", 2, "expected node_id<TAB>values"),
+    ("0\t1.0\n\nx\t2.0\n", 3, "bad node id 'x'"),
+    ("0\t1.0\n1\t2.0,abc\n", 2, "bad feature value"),
+    ("0\t1.0\n\n\n1\t\n", 4, "bad feature value"),
+    ("0\t\n", 1, "bad feature value"),
+    ("0\t1.0\n1\t  \n", 2, "bad feature value"),
+    ("0\t1.0,2.0\n1\t3.0\n", 2, "ragged feature row (1 values, expected 2)"),
+    ("0\t1.0\n1\t2.0,3.0\n", 2, "ragged feature row (2 values, expected 1)"),
+    ("0\t1.0\n\n0\t2.0\n", 3, "duplicate node id 0"),
+    ("1\t1.0\n2\t2.0\n", None, "node ids must be exactly 0..N-1"),
+    ("0\t1.0\n2\t2.0\n", None, "node ids must be exactly 0..N-1"),
+    ("\n\n", None, "no feature rows"),
+    ("", None, "no feature rows"),
+    # the first fault in file order wins, whatever its kind
+    ("0\t1.0,x\n1\t1.0\t2\n", 1, "bad feature value"),
+    ("0\t1,2\n0\t1,2\n1\t3\n", 2, "duplicate node id 0"),
+    ("0\t1,2\n1\t1\n1\tx\n", 2, "ragged feature row (1 values, expected 2)"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", FEATURE_FAULTS)
+def test_feature_faults_name_their_line(tmp_path, text, line, message):
+    path = write_features(str(tmp_path), text)
+    with pytest.raises(GraphFormatError) as info:
+        load_node_dataset(str(tmp_path))
+    where = path if line is None else f"{path}:{line}"
+    assert str(info.value) == f"{where}: {message}"
+
+
+# tokens float() accepts: signed zero, the least subnormal, the specials,
+# surrounding whitespace, underscores and full-width and Arabic-Indic digits
+ACCEPTED_TOKENS = ["-0.0", "5e-324", "inf", "-inf", "nan", " 1.5", "1.5 ", "1_0.5",
+                   "１２", "١.5", "1e500", " 1.5\x85"]
+
+
+@pytest.mark.parametrize("token", ACCEPTED_TOKENS)
+def test_feature_tokens_load_as_float_does(tmp_path, token):
+    write_features(str(tmp_path), f"1\t{token},2.0\n0\t1.0,{token}\n")
+    got = load_node_dataset(str(tmp_path)).features
+    expected = np.array([[1.0, float(token)], [float(token), 2.0]])
+    assert got.tobytes() == expected.tobytes()
+
+
+# tokens float() rejects; \x1c-\x1f are str.isspace() but float() does not
+# strip them
+REJECTED_TOKENS = ["1#2", "#", "0x1p3", "", "1.5\x00", "1 .5", "1+0j", "\"1.5\"",
+                   "\x1c1.5", "1.5\x1d", "\x1e", "1\x1f"]
+
+
+@pytest.mark.parametrize("token", REJECTED_TOKENS)
+def test_feature_tokens_float_rejects_are_faults(tmp_path, token):
+    path = write_features(str(tmp_path), f"0\t1.0,2.0\n\n1\t1.0,{token}\n")
+    with pytest.raises(GraphFormatError) as info:
+        load_node_dataset(str(tmp_path))
+    assert str(info.value) == f"{path}:3: bad feature value"
+
+
+@given(st.lists(st.lists(st.floats(width=64), min_size=3, max_size=3), min_size=1, max_size=6),
+       st.randoms(use_true_random=False))
+def test_features_round_trip_float_bits(rows, random):
+    import tempfile
+
+    ids = list(range(len(rows)))
+    random.shuffle(ids)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_features(tmp, "".join(f"{i}\t{','.join(map(repr, rows[i]))}\n" for i in ids))
+        got = load_node_dataset(tmp).features
+        expected = per_token_features(path)
+    assert got.tobytes() == expected.tobytes()
+    # repr round-trips every float but a NaN's payload
+    assert np.array_equal(got, np.array(rows), equal_nan=True)
+
+
+@pytest.fixture(scope="module")
+def cora_shaped_features(tmp_path_factory):
+    """A seeded Cora-shaped features.tsv: 2,708 rows of 1,433 values, about
+    1.3% nonzero, each row normalized to sum 1."""
+    rng = np.random.default_rng(2708)
+    lines = []
+    for i in range(2708):
+        hot = np.unique(rng.integers(0, 1433, size=19))
+        row = np.full(1433, "0.0", dtype=object)
+        row[hot] = repr(1.0 / len(hot))
+        lines.append(f"{i}\t{','.join(row)}\n")
+    directory = str(tmp_path_factory.mktemp("cora_shaped"))
+    return directory, write_features(directory, "".join(lines))
+
+
+def test_cora_shaped_features_have_float_bits(cora_shaped_features):
+    directory, path = cora_shaped_features
+    features = load_node_dataset(directory).features
+    assert features.shape == (2708, 1433)
+    assert 0.012 < np.count_nonzero(features) / features.size < 0.014
+    assert features.tobytes() == per_token_features(path).tobytes()
+
+
+def test_cora_shaped_load_memory(cora_shaped_features):
+    # the result takes 31 MB and the file's text 16 MB, held as lines and as
+    # split fields; a float object per value would add 94 MB more
+    peak = peak_traced_bytes(lambda: load_node_dataset(cora_shaped_features[0]))
+    assert peak < 80 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +469,35 @@ def test_malformed_kg_line(tmp_path):
         load_kg_dataset(d)
     with open(os.path.join(d, "train.txt"), "w") as fh:
         fh.write("a\tr\tb\nb\tr\tc\na\tr\tb\n")
-    with pytest.raises(GraphFormatError, match="train.txt: duplicate"):
+    with pytest.raises(GraphFormatError, match=r"train.txt:3: duplicate \(src, rel, dst\) edge$"):
         load_kg_dataset(d)
+
+
+kg_names = st.sampled_from(["a", "b", "c", "d", "e"])
+kg_triple_lists = st.lists(st.tuples(kg_names, st.sampled_from(["r", "s", "t"]), kg_names), max_size=6)
+
+
+# train repeats no triple (the loader rejects that); valid and test may
+@given(kg_triple_lists.map(lambda rows: list(dict.fromkeys(rows))), kg_triple_lists, kg_triple_lists)
+def test_kg_ids_follow_first_appearance(train, valid, test):
+    import tempfile
+
+    # the reference: every name numbered at its first use, train then valid
+    # then test, each triple's head before its tail
+    entity_ids, relation_ids = {}, {}
+    for h, r, t in train + valid + test:
+        for name in (h, t):
+            if name not in entity_ids:
+                entity_ids[name] = len(entity_ids)
+        if r not in relation_ids:
+            relation_ids[r] = len(relation_ids)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_kg(tmp, train, valid, test)
+        kg = load_kg_dataset(tmp)
+    assert kg.entity_names == list(entity_ids) and kg.relation_names == list(relation_ids)
+    for got, rows in ((kg.train, train), (kg.valid, valid), (kg.test, test)):
+        assert got.dtype == np.int64 and got.shape == (len(rows), 3)
+        assert got.tolist() == [[entity_ids[h], relation_ids[r], entity_ids[t]] for h, r, t in rows]
 
 
 def test_kg_roundtrip(tmp_path):
