@@ -30,13 +30,12 @@ from .graph import (
 from .linalg import dense_solve, sym_eigen
 from .model import MagnaNet, NetworkConfig
 from .optim import Adam, ParamStore, load_checkpoint, save_checkpoint
-from .tape import Tensor, no_grad
+from .tape import Tensor, distmult_scores, no_grad
 from .tasks import (
     ClassifierHead,
     DistMultDecoder,
     RankingMetrics,
     cross_entropy_loss,
-    distmult_scores,
     filtered_rank,
     kg_filtered_ranks,
     kl_label_smoothing_loss,

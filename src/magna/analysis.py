@@ -210,12 +210,9 @@ def attention_discrepancy(net, features, layer: int, head: int) -> DiscrepancyRe
 # report serialization
 
 
-def write_spectrum_csv(report: SpectrumReport, path: str, seed: int | None = None) -> None:
+def write_spectrum_csv(report: SpectrumReport, path: str, seed: int) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        header = f"# alpha={report.alpha!r} symmetrized={report.symmetrized}"
-        if seed is not None:
-            header += f" seed={seed}"
-        fh.write(header + "\n")
+        fh.write(f"# alpha={report.alpha!r} symmetrized={report.symmetrized} seed={seed}\n")
         writer = csv.writer(fh)
         writer.writerow(["index", "lambda", "lambda_hat", "lambda_hat_predicted",
                          "lambda_g", "lambda_hat_g", "ratio", "ratio_predicted"])
@@ -228,22 +225,17 @@ def write_spectrum_csv(report: SpectrumReport, path: str, seed: int | None = Non
             ])
 
 
-def write_discrepancy_csv(report: DiscrepancyReport, path: str, seed: int | None = None) -> None:
+def write_discrepancy_csv(report: DiscrepancyReport, path: str, seed: int) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        header = f"# mean={report.mean!r}"
-        if seed is not None:
-            header += f" seed={seed}"
-        fh.write(header + "\n")
+        fh.write(f"# mean={report.mean!r} seed={seed}\n")
         writer = csv.writer(fh)
         writer.writerow(["node", "delta"])
         for i, d in enumerate(report.per_node):
             writer.writerow([i, repr(float(d))])
 
 
-def write_summary_json(summary: dict, path: str, seed: int | None = None) -> None:
-    payload = dict(summary)
-    if seed is not None:
-        payload["seed"] = seed
+def write_summary_json(summary: dict, path: str, seed: int) -> None:
+    payload = {**summary, "seed": seed}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

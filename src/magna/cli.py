@@ -196,10 +196,7 @@ def cmd_search(args) -> int:
     train_cfg = TrainConfig.from_dict({**train_cfg.to_dict(),
                                        "epochs": train_cfg.epoch_cap(task)})
     space = _load_json(args.space, "search space")
-    try:
-        validate_space(space)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    validate_space(space)
     dataset, load_seconds = _timed_load(load_node_dataset if task == "node" else load_kg_dataset, args.data)
     out = _prepare_out(args.out)
     _write_resolved_config(out, f"search-{task}", args.seed,
@@ -232,10 +229,7 @@ def cmd_analyze_spectrum(args) -> int:
     out = _prepare_out(args.out)
     _write_resolved_config(out, "analyze-spectrum", args.seed,
                            {"graph": args.graph, "alpha": args.alpha})
-    try:
-        report = spectrum_report(adj, args.alpha)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = spectrum_report(adj, args.alpha)
     write_spectrum_csv(report, os.path.join(out, "spectrum.csv"), seed=args.seed)
     write_summary_json(report.summary(), os.path.join(out, "spectrum.json"), seed=args.seed)
     print(json.dumps(report.summary()))

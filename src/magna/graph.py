@@ -179,11 +179,15 @@ class KgDataset:
 # node dataset I/O
 
 
-def _read_lines(path: str) -> list[tuple[int, str]]:
+def _read_lines(path: str):
+    """Yield (line number, text) for each nonblank line, newline stripped,
+    as the file is read."""
     if not os.path.isfile(path):
         raise GraphFormatError("missing file", path)
     with open(path, encoding="utf-8") as fh:
-        return [(i, line.rstrip("\n")) for i, line in enumerate(fh, start=1) if line.strip()]
+        for i, line in enumerate(fh, start=1):
+            if line.strip():
+                yield i, line.rstrip("\n")
 
 
 def _parse_int(text: str, what: str, path: str, line: int) -> int:
@@ -228,13 +232,12 @@ def read_edge_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows, dtype=np.int64).reshape(-1, 3), np.array(lines, dtype=np.int64)
 
 
-def _parse_features(path: str, lines: list[tuple[int, str]]) -> np.ndarray:
-    """The per-line ``float()`` parse of features.tsv lines. It defines the
-    accepted syntax and reports the first fault at its line."""
+def _parse_features(path: str, lines: list[tuple[int, list[str]]]) -> np.ndarray:
+    """The per-line ``float()`` parse of features.tsv lines, each split at its
+    tabs. It defines the accepted syntax and reports the first fault at its line."""
     rows = {}
     width = None
-    for lineno, line in lines:
-        parts = line.split("\t")
+    for lineno, parts in lines:
         if len(parts) != 2:
             raise GraphFormatError("expected node_id<TAB>values", path, lineno)
         nid = _parse_int(parts[0], "node id", path, lineno)
@@ -267,13 +270,13 @@ def _read_features(path: str) -> np.ndarray:
     or with syntax only ``float()`` reads (underscores, non-ASCII digits)
     goes to ``_parse_features``.
     """
-    lines = _read_lines(path)
-    fields = [line.split("\t") for _, line in lines]
+    # each line is split as it is read, so the file's text is held once
+    lines = [(lineno, line.split("\t")) for lineno, line in _read_lines(path)]
     # numpy skips an empty line, so an empty values field would drop its row
-    if fields and all(len(parts) == 2 and parts[1] for parts in fields):
-        values = [parts[1] for parts in fields]
+    if lines and all(len(parts) == 2 and parts[1] for _, parts in lines):
+        values = [parts[1] for _, parts in lines]
         try:
-            ids = [int(parts[0]) for parts in fields]
+            ids = [int(parts[0]) for _, parts in lines]
             in_order = list(range(len(ids)))
             if sorted(ids) == in_order and not any(c in v for v in values for c in "\x1c\x1d\x1e\x1f"):
                 features = np.loadtxt(values, delimiter=",", comments=None, ndmin=2)
@@ -387,7 +390,7 @@ def _read_triples(path: str, entity_ids: dict, relation_ids: dict) -> tuple[np.n
     """Parse a ``head<TAB>relation<TAB>tail`` file into an (n, 3) int64 id
     array, interning new names into the two dicts in order of appearance
     (head before tail). Also returns each row's line number."""
-    lines = _read_lines(path)
+    lines = list(_read_lines(path))
     for lineno, line in lines:
         if line.count("\t") != 2:
             raise GraphFormatError("expected head<TAB>relation<TAB>tail", path, lineno)

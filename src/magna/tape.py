@@ -27,15 +27,13 @@ __all__ = [
     "NonFiniteError",
     "no_grad",
     "matmul",
-    "transpose",
     "add",
-    "mul",
     "concat_cols",
     "relu",
     "elu",
     "dropout",
     "layer_norm",
-    "gather_rows",
+    "distmult_scores",
     "edge_attention",
     "edge_spmm",
 ]
@@ -204,13 +202,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor.from_op(out_data, (a, b), "matmul", backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    def backward(g):
-        a.accumulate(g.T)
-
-    return Tensor.from_op(a.data.T, (a,), "transpose", backward)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "add")
     out_data = a.data + b.data
@@ -222,19 +213,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate(_unbroadcast(g, b.data.shape))
 
     return Tensor.from_op(out_data, (a, b), "add", backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "mul")
-    out_data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return Tensor.from_op(out_data, (a, b), "mul", backward)
 
 
 def concat_cols(tensors) -> Tensor:
@@ -317,16 +295,36 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return Tensor.from_op(out_data, (a, gamma, beta), "layer_norm", backward)
 
 
-def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    idx = np.asarray(idx, dtype=np.int64)
-    out_data = a.data[idx]
+def distmult_scores(entities: Tensor, relations: Tensor, heads, rels) -> Tensor:
+    """``(E[heads] * R[rels]) @ E^T``: the DistMult score of every entity as the
+    tail of each (head, relation) query, shape (queries, entities), as one node.
+
+    The adjoint keeps the bits of the gather, product and matmul chain it
+    replaces by adding in its order: ``entities`` takes ``(q^T G)^T`` first,
+    then the head rows of ``(G E) * R[rels]`` scattered into a zeroed buffer,
+    and ``relations`` takes the rows of ``(G E) * E[heads]``.
+    """
+    heads = np.asarray(heads, dtype=np.int64)
+    rels = np.asarray(rels, dtype=np.int64)
+    if heads.shape != rels.shape or entities.shape[1] != relations.shape[1]:
+        raise ValueError(f"distmult_scores: heads {heads.shape} and rels {rels.shape}, entities "
+                         f"{entities.shape} and relations {relations.shape} do not match")
+    e_h, r_r = entities.data[heads], relations.data[rels]
+    q = e_h * r_r
 
     def backward(g):
-        da = np.zeros_like(a.data)
-        np.add.at(da, idx, g)
-        a.accumulate(da)
+        ge = g @ entities.data
+        if entities.requires_grad:
+            entities.accumulate((q.T @ g).T, fresh=True)
+            de = np.zeros_like(entities.data)
+            np.add.at(de, heads, ge * r_r)
+            entities.accumulate(de)
+        if relations.requires_grad:
+            dr = np.zeros_like(relations.data)
+            np.add.at(dr, rels, ge * e_h)
+            relations.accumulate(dr, fresh=True)
 
-    return Tensor.from_op(out_data, (a,), "gather_rows", backward)
+    return Tensor.from_op(q @ entities.data.T, (entities, relations), "distmult_scores", backward)
 
 
 # ---------------------------------------------------------------------------

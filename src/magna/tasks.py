@@ -21,14 +21,13 @@ import numpy as np
 
 from .graph import KgDataset, kg_known_answers, kg_queries
 from .optim import ParamStore
-from .tape import Tensor, add, matmul, mul, transpose
+from .tape import Tensor, add, matmul
 
 __all__ = [
     "ClassifierHead",
     "DistMultDecoder",
     "RankingMetrics",
     "cross_entropy_loss",
-    "distmult_scores",
     "kl_label_smoothing_loss",
     "smoothed_targets",
     "filtered_rank",
@@ -104,12 +103,6 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray, mask: np.ndarray) -> 
         logits.accumulate(full)
 
     return Tensor.from_op(np.asarray(loss_val), (logits,), "cross_entropy", backward), accuracy
-
-
-def distmult_scores(head_repr: Tensor, relation_vec: Tensor, all_entities: Tensor) -> Tensor:
-    """Score every entity as tail for each (head, relation) row: one matmul
-    of (e_h * w_r) against the entity matrix."""
-    return matmul(mul(head_repr, relation_vec), transpose(all_entities))
 
 
 def smoothed_targets(tail_sets, num_entities: int, eps: float) -> np.ndarray:

@@ -17,12 +17,11 @@ import numpy as np
 from .graph import SPLIT_TEST, SPLIT_TRAIN, SPLIT_VAL, KgDataset, NodeDataset, kg_answer_index
 from .model import MagnaNet, NetworkConfig
 from .optim import Adam, ParamStore
-from .tape import Tensor, gather_rows, no_grad
+from .tape import Tensor, distmult_scores, no_grad
 from .tasks import (
     ClassifierHead,
     DistMultDecoder,
     cross_entropy_loss,
-    distmult_scores,
     kg_filtered_ranks,
     kl_label_smoothing_loss,
     ranking_metrics,
@@ -273,11 +272,7 @@ def train_kg(kg: KgDataset, net_cfg: NetworkConfig, train_cfg: TrainConfig,
                                    train_cfg.label_smoothing)
         model.store.zero_grad()
         entity = model.entity_repr(training=True, rng=drop_rng)
-        scores = distmult_scores(
-            gather_rows(entity, heads[batch]),
-            gather_rows(model.decoder.relations, rels[batch]),
-            entity,
-        )
+        scores = distmult_scores(entity, model.decoder.relations, heads[batch], rels[batch])
         loss = kl_label_smoothing_loss(scores, targets)
         loss.backward()
         optimizer.step()

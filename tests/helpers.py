@@ -4,6 +4,7 @@ The finite-difference gradient is the independent check for every tape op
 and for end-to-end training graphs; it only ever evaluates forward passes.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -82,6 +83,16 @@ def ops_named(root: Tensor, op_name: str) -> list:
 def count_ops(root: Tensor, op_name: str) -> int:
     """Number of distinct nodes named ``op_name`` in the graph below ``root``."""
     return len(ops_named(root, op_name))
+
+
+def read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def peak_traced_bytes(fn) -> int:
@@ -191,9 +202,51 @@ def random_attention(rng: np.random.Generator, graph: Graph) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# one head's attention as a chain of one-line ops, the reference that
-# ``tape.edge_attention`` is pinned against bit for bit. The ops it needs
-# beyond the tape's own are written out here with their adjoints.
+# chains of one-line ops, the references that the fused tape ops are pinned
+# against bit for bit. The ops they need beyond the tape's own are written
+# out here with their adjoints.
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product; a dimension of 1 broadcasts."""
+    from magna.tape import _binary_shapes, _unbroadcast
+
+    _binary_shapes(a, b, "mul")
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(_unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(g * a.data, b.data.shape))
+
+    return Tensor.from_op(a.data * b.data, (a, b), "mul", backward)
+
+
+def transpose(a: Tensor) -> Tensor:
+    def backward(g):
+        a.accumulate(g.T)
+
+    return Tensor.from_op(a.data.T, (a,), "transpose", backward)
+
+
+def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
+    idx = np.asarray(idx, dtype=np.int64)
+
+    def backward(g):
+        da = np.zeros_like(a.data)
+        np.add.at(da, idx, g)
+        a.accumulate(da)
+
+    return Tensor.from_op(a.data[idx], (a,), "gather_rows", backward)
+
+
+def distmult_chain(entities, relations, heads, rels):
+    """(E[heads] * R[rels]) @ E^T as five nodes: two row gathers, their
+    product, the transposed entity table and a matmul."""
+    from magna.tape import matmul
+
+    return matmul(mul(gather_rows(entities, heads), gather_rows(relations, rels)),
+                  transpose(entities))
 
 
 def _chain_tanh(a: Tensor) -> Tensor:
@@ -241,7 +294,7 @@ def _chain_segment_softmax(scores: Tensor, indptr: np.ndarray) -> Tensor:
 def attention_chain(h, w_h, w_t, table, w_r, v_a, graph, slope):
     """softmax per destination of leaky_relu(v_a . tanh(W_h h_src || W_t h_dst
     || W_r r_rel)), one tape node per step (about 25 per head)."""
-    from magna.tape import add, gather_rows, matmul, transpose
+    from magna.tape import add, matmul
 
     d = w_h.shape[0]
     th = _chain_tanh(matmul(h, transpose(w_h)))

@@ -8,7 +8,7 @@ import pytest
 from magna.cli import main
 from magna.graph import save_node_dataset
 
-from helpers import compositional_kg, separable_node_dataset
+from helpers import compositional_kg, read_bytes, read_json, separable_node_dataset
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +58,7 @@ def test_analyze_spectrum_path_graph(tmp_path):
     lam_hat = sorted(float(r["lambda_hat"]) for r in rows)
     np.testing.assert_allclose(lam_hat, [1.0 / 3.0, 0.5, 1.0], atol=1e-10)
     assert os.path.isfile(os.path.join(out, "config.resolved.json"))
-    summary = json.load(open(os.path.join(out, "spectrum.json")))
+    summary = read_json(os.path.join(out, "spectrum.json"))
     assert summary["max_eigen_deviation"] <= 1e-10
 
     # listing each pair in both directions describes the same undirected graph
@@ -68,6 +68,16 @@ def test_analyze_spectrum_path_graph(tmp_path):
     both_out = str(tmp_path / "both_out")
     assert main(["analyze", "spectrum", "--graph", both_file, "--alpha", "0.5", "--out", both_out]) == 0
     assert read_csv_rows(os.path.join(both_out, "spectrum.csv")) == read_csv_rows(os.path.join(out, "spectrum.csv"))
+
+
+def test_analyze_spectrum_rejects_alpha_one(tmp_path, capsys):
+    graph_file = str(tmp_path / "path.tsv")
+    with open(graph_file, "w") as fh:
+        fh.write("0\t1\n1\t2\n")
+    rc = main(["analyze", "spectrum", "--graph", graph_file, "--alpha", "1.0",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "error: alpha must be in (0, 1)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content, line", [("0\t1\n1\n", 2), ("0\t1\n\n1\tx\n", 3),
@@ -103,13 +113,13 @@ def test_train_node_is_byte_deterministic(node_dir, tiny_config, tmp_path):
                    "--out", out, "--seed", "7"])
         assert rc == 0
         outs.append(out)
-    blobs = [open(os.path.join(o, "metrics.json"), "rb").read() for o in outs]
+    blobs = [read_bytes(os.path.join(o, "metrics.json")) for o in outs]
     assert blobs[0] == blobs[1]
     metrics = json.loads(blobs[0])
     assert set(metrics) == {"task", "seed", "best_epoch", "val_metric", "test_metric"}
     assert metrics["seed"] == 7
     assert_timing_only_in_report(outs[0])
-    resolved = json.load(open(os.path.join(outs[0], "config.resolved.json")))
+    resolved = read_json(os.path.join(outs[0], "config.resolved.json"))
     assert resolved["network"]["blocks"] == 1
     assert resolved["train"]["lr"] == 0.02
     assert resolved["seed"] == 7
@@ -143,7 +153,7 @@ def test_train_kg_then_eval_kg_roundtrip(kg_dir, tiny_config, tmp_path):
     rc = main(["eval-kg", "--data", kg_dir, "--checkpoint", ckpt,
                "--out", eval_out, "--per-triple"])
     assert rc == 0
-    metrics = json.load(open(os.path.join(eval_out, "kg_metrics.json")))
+    metrics = read_json(os.path.join(eval_out, "kg_metrics.json"))
     assert {"MR", "MRR", "Hits@1", "Hits@3", "Hits@10"} <= set(metrics)
     assert metrics["Hits@1"] <= metrics["Hits@3"] <= metrics["Hits@10"]
     header, rows = read_csv_rows(os.path.join(eval_out, "ranks.csv"))
@@ -151,7 +161,7 @@ def test_train_kg_then_eval_kg_roundtrip(kg_dir, tiny_config, tmp_path):
     assert {"head", "relation", "tail", "tail_rank", "head_rank"} <= set(rows[0])
 
     # the recorded test metric from training matches a fresh evaluation
-    train_metrics = json.load(open(os.path.join(train_out, "metrics.json")))
+    train_metrics = read_json(os.path.join(train_out, "metrics.json"))
     assert train_metrics["test_metric"] == pytest.approx(metrics["MRR"], abs=1e-12)
 
 
@@ -216,7 +226,7 @@ def test_analyze_discrepancy_end_to_end(node_dir, tiny_config, tmp_path):
     assert rc == 0
     header, rows = read_csv_rows(os.path.join(out, "discrepancy.csv"))
     assert len(rows) == 16
-    summary = json.load(open(os.path.join(out, "discrepancy.json")))
+    summary = read_json(os.path.join(out, "discrepancy.json"))
     assert summary["mean"] >= 0.0
 
 
@@ -238,7 +248,7 @@ def test_train_kg_is_byte_deterministic(kg_dir, tiny_config, tmp_path):
         rc = main(["train-kg", "--data", kg_dir, "--config", tiny_config,
                    "--out", out, "--seed", "11"])
         assert rc == 0
-        blobs.append(open(os.path.join(out, "metrics.json"), "rb").read())
+        blobs.append(read_bytes(os.path.join(out, "metrics.json")))
     assert blobs[0] == blobs[1]
     assert_timing_only_in_report(out)
 
@@ -253,7 +263,7 @@ def test_search_cli_on_kg_data(kg_dir, tiny_config, tmp_path):
     assert rc == 0
     header, rows = read_csv_rows(os.path.join(out, "trials.csv"))
     assert len(rows) == 2
-    resolved = json.load(open(os.path.join(out, "config.resolved.json")))
+    resolved = read_json(os.path.join(out, "config.resolved.json"))
     assert resolved["task"] == "search-kg"
     with open(os.path.join(out, "train_report.json")) as fh:
         report = json.load(fh)

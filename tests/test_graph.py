@@ -299,10 +299,11 @@ def test_cora_shaped_features_have_float_bits(cora_shaped_features):
 
 
 def test_cora_shaped_load_memory(cora_shaped_features):
-    # the result takes 31 MB and the file's text 16 MB, held as lines and as
-    # split fields; a float object per value would add 94 MB more
+    # the result takes 31 MB and the file's text, held once as split fields,
+    # 16 MB; a second copy of the text would break the bound, and a float
+    # object per value would add 94 MB more
     peak = peak_traced_bytes(lambda: load_node_dataset(cora_shaped_features[0]))
-    assert peak < 80 * 2**20
+    assert peak < 56 * 2**20
 
 
 # ---------------------------------------------------------------------------

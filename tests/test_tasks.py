@@ -9,10 +9,9 @@ from numpy.testing import assert_allclose
 
 from magna import tasks
 from magna.graph import kg_queries
-from magna.tape import Tensor, mul
+from magna.tape import Tensor, distmult_scores
 from magna.tasks import (
     cross_entropy_loss,
-    distmult_scores,
     filtered_rank,
     kg_filtered_ranks,
     kl_label_smoothing_loss,
@@ -26,6 +25,7 @@ from helpers import (
     check_grad,
     compositional_kg,
     known_set,
+    mul,
     peak_traced_bytes,
     per_query_ranks,
 )
@@ -85,28 +85,33 @@ def test_cross_entropy_gradient(rng):
 
 
 def test_distmult_all_ones():
-    s = distmult_scores(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3))))
+    s = distmult_scores(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3))), [0], [0])
     assert s.data[0, 0] == pytest.approx(3.0)
 
 
 def test_distmult_zero_relation_zeroes_scores(rng):
-    s = distmult_scores(
-        Tensor(rng.normal(size=(2, 4))), Tensor(np.zeros((2, 4))), Tensor(rng.normal(size=(5, 4)))
-    )
+    s = distmult_scores(Tensor(rng.normal(size=(5, 4))), Tensor(np.zeros((2, 4))), [0, 3], [1, 0])
     assert_allclose(s.data, np.zeros((2, 5)))
 
 
 def test_distmult_hand_example():
-    s = distmult_scores(
-        Tensor([[1.0, 2.0]]), Tensor([[1.0, 0.0]]), Tensor([[1.0, 1.0], [3.0, 0.0]])
-    )
-    assert_allclose(s.data, [[1.0, 3.0]])
+    s = distmult_scores(Tensor([[1.0, 2.0], [1.0, 1.0], [3.0, 0.0]]), Tensor([[1.0, 0.0]]), [0], [0])
+    assert_allclose(s.data, [[1.0, 1.0, 3.0]])
+
+
+def test_distmult_rejects_mismatched_inputs():
+    ents, relw = Tensor(np.ones((4, 3))), Tensor(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="distmult_scores"):
+        distmult_scores(ents, relw, [0, 1], [0])
+    # a width-1 relation table would broadcast in the forward
+    with pytest.raises(ValueError, match="distmult_scores"):
+        distmult_scores(ents, Tensor(np.ones((2, 1))), [0], [0])
 
 
 def test_distmult_head_tail_symmetry(rng):
     e = rng.normal(size=(6, 5))
     w = rng.normal(size=(1, 5))
-    ent = Tensor(e)
+    ent, relw = Tensor(e), Tensor(w)
     for h in range(6):
         for t in range(6):
             # the bilinear form itself is exactly symmetric (commutative products)
@@ -114,19 +119,18 @@ def test_distmult_head_tail_symmetry(rng):
             exact_th = ((e[t] * e[h]) * w[0]).sum()
             assert exact_ht == exact_th
             # the 1-N matrix-product evaluation rounds per direction; ulp-level only
-            s_ht = distmult_scores(Tensor(e[h : h + 1]), Tensor(w), ent).data[0, t]
-            s_th = distmult_scores(Tensor(e[t : t + 1]), Tensor(w), ent).data[0, h]
+            s_ht = distmult_scores(ent, relw, [h], [0]).data[0, t]
+            s_th = distmult_scores(ent, relw, [t], [0]).data[0, h]
             assert s_ht == pytest.approx(s_th, rel=1e-12, abs=1e-12)
 
 
 def test_distmult_gradients(rng):
-    head = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     relw = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     ents = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     targets = smoothed_targets(tail_arrays([0], [2, 3]), 4, 0.1)
     check_grad(
-        lambda: kl_label_smoothing_loss(distmult_scores(head, relw, ents), targets),
-        {"head": head, "relw": relw, "ents": ents},
+        lambda: kl_label_smoothing_loss(distmult_scores(ents, relw, [1, 3], [1, 0]), targets),
+        {"relw": relw, "ents": ents},
     )
 
 
