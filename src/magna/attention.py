@@ -121,9 +121,9 @@ def attention_diffusion(att: Tensor, h: Tensor, cfg: DiffusionConfig, graph) -> 
     """K-step iterative approximation of the diffused aggregation.
 
     One ``edge_spmm`` tape node per head runs all K hops and differentiates
-    through every one of them; cost is hops * E * cols. It keeps the K hop
-    states when the attention gradient is recorded, and none under
-    ``no_grad``.
+    through every one of them; cost is hops * E * cols. It keeps no hop
+    state after the forward: a recorded backward recomputes one head's
+    states at a time.
     """
     return edge_spmm(att, h, graph, cfg.hops, cfg.alpha)
 

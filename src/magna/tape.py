@@ -7,9 +7,10 @@ replays the recorded graph in reverse topological order, accumulating exact
 gradients of a scalar into every reachable leaf with ``requires_grad``.
 
 A graph is replayed once. Each op result drops its closure and its gradient
-as soon as its adjoint has run, so the values the closures hold (hop states,
-softmax rows) are freed during backward rather than when the graph dies;
-only leaves keep their gradients. Replaying a consumed graph raises.
+as soon as its adjoint has run, so the values the closures hold (softmax
+rows, tanh outputs) are freed during backward rather than when the graph
+dies; only leaves keep their gradients. Hop states are never held: the
+diffusion adjoint recomputes them. Replaying a consumed graph raises.
 
 There is deliberately no general autodiff here: the vocabulary is the handful
 of ops the architecture needs, so every adjoint is short enough to audit.
@@ -466,8 +467,26 @@ def _edge_row_dot(g: np.ndarray, z: np.ndarray, graph) -> np.ndarray:
     out = np.empty((graph.num_edges, 1))
     for e0 in range(0, graph.num_edges, _EDGE_BLOCK):
         e1 = e0 + _EDGE_BLOCK
-        np.sum(g[graph.dst[e0:e1]] * z[graph.src[e0:e1]], axis=1, keepdims=True, out=out[e0:e1])
+        prod = z[graph.src[e0:e1]]
+        prod *= g[graph.dst[e0:e1]]
+        np.sum(prod, axis=1, keepdims=True, out=out[e0:e1])
     return out
+
+
+def _hop_states(matrix, h: np.ndarray, hops: int, alpha: float):
+    """Yield Z_0 = H, then each of ``hops`` steps of Z <- (1-alpha) A Z + alpha H,
+    with A = ``matrix``. Each step runs in place with the arithmetic of a
+    scale op followed by an add."""
+    keep = 1.0 - alpha
+    teleport = h * alpha if alpha and hops else None
+    z = h
+    yield z
+    for _ in range(hops):
+        z = matrix @ z
+        if alpha:
+            z *= keep
+            z += teleport
+        yield z
 
 
 def edge_spmm(att: Tensor, h: Tensor, graph, hops: int = 1, alpha: float = 0.0) -> Tensor:
@@ -478,14 +497,17 @@ def edge_spmm(att: Tensor, h: Tensor, graph, hops: int = 1, alpha: float = 0.0) 
     ``graph`` edge order (sorted by destination). The defaults give the
     one-hop product A H. Cost is hops * E * cols: the CSR view of the edge
     layout (``src``, ``in_indptr``) is built once per call, and the hops run
-    in place with the arithmetic of a scale op followed by an add.
+    in place (``_hop_states``).
 
     The adjoint runs the same recursion backward, last hop first: with
     gs = (1-alpha) G, hop k adds the sampled row-dot gs[dst] . Z_{k-1}[src]
     to the attention gradient and passes G <- A^T gs down; H receives
-    alpha times the summed G, then A^T gs of the first hop. Only the
-    attention gradient needs the hop states, so Z_0 .. Z_{K-1} are kept
-    when a gradient of ``att`` is recorded, and none are under ``no_grad``.
+    alpha times the summed G, then A^T gs of the first hop. The forward
+    keeps no hop state: when ``att`` takes a gradient, the adjoint re-runs
+    Z_1 .. Z_{K-1} from H through ``_hop_states``, with the forward's bits
+    as long as ``h.data`` is unchanged since the forward, and frees each
+    once used. Its own buffers are scaled in place, so the recompute costs
+    about K-1 sparse products and little extra time.
     """
     if att.data.ndim != 2 or att.data.shape[1] != 1:
         raise ValueError("edge_spmm: attention must have shape (E, 1)")
@@ -501,34 +523,26 @@ def edge_spmm(att: Tensor, h: Tensor, graph, hops: int = 1, alpha: float = 0.0) 
     matrix = sparse.csr_matrix(
         (att.data[:, 0], graph.src, graph.in_indptr), shape=(n, n)
     )
+    for z in _hop_states(matrix, h.data, hops, alpha):
+        pass  # only the last state, Z_K, is kept
     keep = 1.0 - alpha
-    teleport = h.data * alpha if alpha else None
-    states = [] if _grad_enabled and att.requires_grad else None
-    z = h.data
-    for _ in range(hops):
-        if states is not None:
-            states.append(z)
-        z = matrix @ z
-        if alpha:
-            z *= keep
-            z += teleport
 
     def backward(g):
-        g_hop, g_sum = g, None
+        states = list(_hop_states(matrix, h.data, hops - 1, alpha)) if att.requires_grad else None
+        g_sum = g.copy() if alpha and h.requires_grad else None
+        gs = g * keep  # a new buffer: the incoming gradient is never written
         for k in reversed(range(hops)):
-            if alpha and h.requires_grad:
-                if g_sum is None:
-                    g_sum = g_hop.copy()
-                else:
-                    g_sum += g_hop
-            gs = g_hop * keep
             if att.requires_grad:
-                att.accumulate(_edge_row_dot(gs, states[k], graph))
-            if k or h.requires_grad:
-                g_hop = matrix.T @ gs
+                att.accumulate(_edge_row_dot(gs, states.pop(), graph), fresh=True)
+            if k:
+                gs = matrix.T @ gs  # G of hop k, scaled in place once summed
+                if g_sum is not None:
+                    g_sum += gs
+                gs *= keep
         if h.requires_grad:
             if alpha:
-                h.accumulate(g_sum * alpha)
-            h.accumulate(g_hop)
+                g_sum *= alpha
+                h.accumulate(g_sum, fresh=True)
+            h.accumulate(matrix.T @ gs, fresh=True)
 
     return Tensor.from_op(z, (att, h), "edge_spmm", backward)
