@@ -12,7 +12,6 @@ from .attention import (
     RelationTable,
     attention_diffusion,
     attention_weights,
-    dense_attention,
     edge_scores,
     exact_diffusion_oracle,
     multi_head_diffusion,
@@ -36,7 +35,6 @@ from .tasks import (
     DistMultDecoder,
     RankingMetrics,
     cross_entropy_loss,
-    filtered_rank,
     kg_filtered_ranks,
     kl_label_smoothing_loss,
     ranking_metrics,

@@ -11,15 +11,13 @@ set so reports carry the caveat.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attention import exact_diffusion_oracle
 from .graph import Graph
-from .linalg import AsymmetricMatrixError, dense_solve, sym_eigen
+from .linalg import SYM_TOL, AsymmetricMatrixError, dense_solve, sym_eigen
 
 __all__ = [
     "SpectrumReport",
@@ -30,12 +28,8 @@ __all__ = [
     "verify_eigenvector_sharing",
     "discrepancy_from_attention",
     "attention_discrepancy",
-    "write_spectrum_csv",
-    "write_discrepancy_csv",
-    "write_summary_json",
 ]
 
-_SYM_TOL = 1e-10
 _ZERO_EIG = 1e-9
 
 
@@ -55,8 +49,8 @@ def _normalized_pair(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = w.shape[0]
     if w.shape != (n, n):
         raise ValueError("weight matrix must be square")
-    if np.max(np.abs(w - w.T)) > _SYM_TOL:
-        raise AsymmetricMatrixError("weight matrix must be symmetric within 1e-10")
+    if np.max(np.abs(w - w.T)) > SYM_TOL:
+        raise AsymmetricMatrixError(f"weight matrix must be symmetric within {SYM_TOL}")
     if (w < 0).any():
         raise ValueError("weight matrix must be nonnegative")
     degree = w.sum(axis=1)
@@ -205,37 +199,3 @@ def attention_discrepancy(net, features, layer: int, head: int) -> DiscrepancyRe
     att = net.one_hop_attention(features, layer, head)
     return discrepancy_from_attention(att, net.graph)
 
-
-# ---------------------------------------------------------------------------
-# report serialization
-
-
-def write_spectrum_csv(report: SpectrumReport, path: str, seed: int) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# alpha={report.alpha!r} symmetrized={report.symmetrized} seed={seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["index", "lambda", "lambda_hat", "lambda_hat_predicted",
-                         "lambda_g", "lambda_hat_g", "ratio", "ratio_predicted"])
-        for i in range(report.lam.size):
-            ratio = "" if np.isnan(report.ratio[i]) else repr(float(report.ratio[i]))
-            writer.writerow([
-                i, repr(float(report.lam[i])), repr(float(report.lam_hat[i])),
-                repr(float(report.lam_hat_predicted[i])), repr(float(report.lam_g[i])),
-                repr(float(report.lam_hat_g[i])), ratio, repr(float(report.ratio_predicted[i])),
-            ])
-
-
-def write_discrepancy_csv(report: DiscrepancyReport, path: str, seed: int) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# mean={report.mean!r} seed={seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["node", "delta"])
-        for i, d in enumerate(report.per_node):
-            writer.writerow([i, repr(float(d))])
-
-
-def write_summary_json(summary: dict, path: str, seed: int) -> None:
-    payload = {**summary, "seed": seed}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

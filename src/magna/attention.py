@@ -36,7 +36,6 @@ __all__ = [
     "attention_weights",
     "attention_diffusion",
     "exact_diffusion_oracle",
-    "dense_attention",
     "multi_head_diffusion",
 ]
 
@@ -147,18 +146,6 @@ def exact_diffusion_oracle(a_dense: np.ndarray, alpha: float) -> np.ndarray:
         return dense_solve(system, alpha * np.eye(n))
     except SingularMatrixError as exc:  # unreachable for stochastic A; kept as a guard
         raise SingularMatrixError(f"diffusion system singular: {exc}") from exc
-
-
-def dense_attention(graph, att_values: np.ndarray) -> np.ndarray:
-    """Materialize per-edge attention as a dense matrix (oracle scale only)."""
-    if graph.num_nodes > ORACLE_MAX_NODES:
-        raise ValueError(f"dense export limited to {ORACLE_MAX_NODES} nodes")
-    att_values = np.asarray(att_values, dtype=np.float64).reshape(-1)
-    if att_values.shape[0] != graph.num_edges:
-        raise ValueError("attention length must equal edge count")
-    dense = np.zeros((graph.num_nodes, graph.num_nodes))
-    np.add.at(dense, (graph.dst, graph.src), att_values)
-    return dense
 
 
 def multi_head_diffusion(

@@ -18,13 +18,7 @@ import time
 
 import numpy as np
 
-from .analysis import (
-    attention_discrepancy,
-    spectrum_report,
-    write_discrepancy_csv,
-    write_spectrum_csv,
-    write_summary_json,
-)
+from .analysis import attention_discrepancy, spectrum_report
 from .graph import GraphFormatError, load_kg_dataset, load_node_dataset, read_edge_file
 from .model import ABLATION_FLAGS, NetworkConfig
 from .optim import load_checkpoint, save_checkpoint
@@ -40,6 +34,8 @@ from .train import (
 )
 
 __all__ = ["main"]
+
+_LOADERS = {"node": load_node_dataset, "kg": load_kg_dataset}
 
 
 class CliError(Exception):
@@ -73,26 +69,45 @@ def load_run_config(path: str | None) -> tuple[NetworkConfig, TrainConfig]:
     return net, train
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _resolved_configs(path: str | None, task: str,
+                      seed: int | None = None) -> tuple[NetworkConfig, TrainConfig]:
+    """The run config with the epoch cap for ``task`` and, if given, the run
+    seed filled in."""
+    net, train = load_run_config(path)
+    resolved = {**train.to_dict(), "epochs": train.epoch_cap(task)}
+    if seed is not None:
+        resolved["seed"] = seed
+    return net, TrainConfig.from_dict(resolved)
+
+
+def _write_json(path: str, payload: dict, sort_keys: bool = True) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
+
+
+def _write_csv(path: str, comment: str, header: list, rows) -> None:
+    """An artifact table: one ``# comment`` line, the header, then ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_resolved_config(out_dir: str, task: str, seed: int, extras: dict,
                            net: NetworkConfig | None = None,
-                           train: TrainConfig | None = None) -> None:
+                           train: TrainConfig | None = None) -> str:
+    """Create ``out_dir`` and write the run's resolved config, the first file
+    every command writes; returns ``out_dir``."""
+    os.makedirs(out_dir, exist_ok=True)
     payload = {"task": task, "seed": seed, **extras}
     if net is not None:
         payload["network"] = net.to_dict()
     if train is not None:
         payload["train"] = train.to_dict()
     _write_json(os.path.join(out_dir, "config.resolved.json"), payload)
-
-
-def _prepare_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
+    return out_dir
 
 
 def _timed_load(load, path: str):
@@ -102,83 +117,74 @@ def _timed_load(load, path: str):
     return dataset, time.monotonic() - start
 
 
-def _write_train_outputs(out_dir: str, report, store, checkpoint_config: dict,
-                         load_seconds: float) -> None:
-    _write_json(os.path.join(out_dir, "metrics.json"), report.metrics_dict())
-    _write_json(os.path.join(out_dir, "train_report.json"),
-                {**report.to_dict(), "load_seconds": load_seconds})
-    save_checkpoint(os.path.join(out_dir, "checkpoint.json"), store, checkpoint_config)
+def _restore_model(data_dir: str, checkpoint: str, seed: int, task: str | None = None):
+    """Read ``checkpoint`` once, rebuild its node or KG model on the dataset in
+    ``data_dir`` and load the saved parameters. ``task``, if given, is the
+    only kind accepted. Returns the dataset, the model and its network config."""
+    try:
+        values, config = load_checkpoint(checkpoint)
+        network = config["network"]
+    except KeyError as exc:
+        raise CliError(f"{checkpoint}: malformed checkpoint: no {exc.args[0]!r} entry") from exc
+    kind = config.get("task")
+    expected = [task] if task else list(_LOADERS)
+    if kind not in expected:
+        raise CliError(f"{checkpoint}: task {kind!r}, expected {' or '.join(expected)}")
+    net_cfg = NetworkConfig.from_dict(network)
+    data = _LOADERS[kind](data_dir)
+    rng = np.random.default_rng(seed)
+    if kind == "node":
+        model = build_node_model(data, net_cfg, rng)
+    else:
+        model = build_kg_model(data, net_cfg, rng, entity_dim=int(config.get("entity_dim", 100)))
+    try:
+        model.store.restore(values)
+    except (KeyError, ValueError) as exc:  # saved names or shapes that are not the model's
+        raise CliError(f"{checkpoint}: malformed checkpoint: {exc.args[0]}") from exc
+    return data, model, net_cfg
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_train_node(args) -> int:
-    net_cfg, train_cfg = load_run_config(args.config)
-    train_cfg = TrainConfig.from_dict({**train_cfg.to_dict(), "seed": args.seed,
-                                       "epochs": train_cfg.epoch_cap("node")})
-    dataset, load_seconds = _timed_load(load_node_dataset, args.data)
-    out = _prepare_out(args.out)
-    _write_resolved_config(out, "node", args.seed, {"data": args.data}, net_cfg, train_cfg)
-    report, model = train_node_classifier(dataset, net_cfg, train_cfg)
-    ckpt_cfg = {"task": "node", "network": net_cfg.to_dict(),
-                "in_dim": dataset.features.shape[1], "num_classes": dataset.num_classes}
-    _write_train_outputs(out, report, model.store, ckpt_cfg, load_seconds)
-    print(f"best_epoch={report.best_epoch} val={report.best_val:.4f} test={report.test_metric:.4f}")
+def cmd_train(args) -> int:
+    net_cfg, train_cfg = _resolved_configs(args.config, args.task, seed=args.seed)
+    data, load_seconds = _timed_load(_LOADERS[args.task], args.data)
+    out = _write_resolved_config(args.out, args.task, args.seed, {"data": args.data},
+                                 net_cfg, train_cfg)
+    if args.task == "node":
+        report, model = train_node_classifier(data, net_cfg, train_cfg)
+        shape = {"in_dim": data.features.shape[1], "num_classes": data.num_classes}
+    else:
+        report, model = train_kg(data, net_cfg, train_cfg)
+        shape = {"entity_dim": 100}
+    _write_json(os.path.join(out, "metrics.json"), report.metrics_dict())
+    _write_json(os.path.join(out, "train_report.json"),
+                {**report.to_dict(), "load_seconds": load_seconds})
+    save_checkpoint(os.path.join(out, "checkpoint.json"), model.store,
+                    {"task": args.task, "network": net_cfg.to_dict(), **shape})
+    mrr = "_mrr" if args.task == "kg" else ""
+    print(f"best_epoch={report.best_epoch} val{mrr}={report.best_val:.4f} test{mrr}={report.test_metric:.4f}")
     return 0
-
-
-def cmd_train_kg(args) -> int:
-    net_cfg, train_cfg = load_run_config(args.config)
-    train_cfg = TrainConfig.from_dict({**train_cfg.to_dict(), "seed": args.seed,
-                                       "epochs": train_cfg.epoch_cap("kg")})
-    kg, load_seconds = _timed_load(load_kg_dataset, args.data)
-    out = _prepare_out(args.out)
-    _write_resolved_config(out, "kg", args.seed, {"data": args.data}, net_cfg, train_cfg)
-    report, model = train_kg(kg, net_cfg, train_cfg)
-    ckpt_cfg = {"task": "kg", "network": net_cfg.to_dict(), "entity_dim": 100}
-    _write_train_outputs(out, report, model.store, ckpt_cfg, load_seconds)
-    print(f"best_epoch={report.best_epoch} val_mrr={report.best_val:.4f} test_mrr={report.test_metric:.4f}")
-    return 0
-
-
-def _restore_kg_model(data_dir: str, checkpoint_path: str, seed: int):
-    values, config = load_checkpoint(checkpoint_path)
-    if config.get("task") != "kg":
-        raise CliError(f"checkpoint {checkpoint_path} is not a KG model")
-    net_cfg = NetworkConfig.from_dict(config["network"])
-    kg = load_kg_dataset(data_dir)
-    model = build_kg_model(kg, net_cfg, np.random.default_rng(seed),
-                           entity_dim=int(config.get("entity_dim", 100)))
-    model.store.restore(values)
-    return kg, model, net_cfg
 
 
 def cmd_eval_kg(args) -> int:
-    kg, model, net_cfg = _restore_kg_model(args.data, args.checkpoint, args.seed)
-    out = _prepare_out(args.out)
-    _write_resolved_config(out, "kg-eval", args.seed,
-                           {"data": args.data, "checkpoint": args.checkpoint}, net_cfg)
+    kg, model, net_cfg = _restore_model(args.data, args.checkpoint, args.seed, task="kg")
+    out = _write_resolved_config(args.out, "kg-eval", args.seed,
+                                 {"data": args.data, "checkpoint": args.checkpoint}, net_cfg)
     with no_grad():
         entity = model.entity_repr().data
     ranks = kg_filtered_ranks(entity, model.decoder.relations.data, kg, kg.test)
-    metrics = ranking_metrics(ranks)
-    _write_json(os.path.join(out, "kg_metrics.json"), {"seed": args.seed, **metrics.to_dict()})
-    with open(os.path.join(out, "kg_metrics.csv"), "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# seed={args.seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        for key, val in metrics.to_dict().items():
-            writer.writerow([key, repr(val)])
+    metrics = ranking_metrics(ranks).to_dict()
+    _write_json(os.path.join(out, "kg_metrics.json"), {"seed": args.seed, **metrics})
+    _write_csv(os.path.join(out, "kg_metrics.csv"), f"seed={args.seed}", ["metric", "value"],
+               [[key, repr(val)] for key, val in metrics.items()])
     if args.per_triple:
-        with open(os.path.join(out, "ranks.csv"), "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# seed={args.seed}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["head", "relation", "tail", "tail_rank", "head_rank"])
-            for i, (h, r, t) in enumerate(kg.test):
-                writer.writerow([int(h), int(r), int(t), ranks[2 * i], ranks[2 * i + 1]])
-    print(json.dumps(metrics.to_dict()))
+        _write_csv(os.path.join(out, "ranks.csv"), f"seed={args.seed}",
+                   ["head", "relation", "tail", "tail_rank", "head_rank"],
+                   [[*hrt, tail, head] for hrt, tail, head in zip(kg.test.tolist(), ranks[::2], ranks[1::2])])
+    print(json.dumps(metrics))
     return 0
 
 
@@ -192,26 +198,21 @@ def _sniff_task(data_dir: str) -> str:
 
 def cmd_search(args) -> int:
     task = args.task or _sniff_task(args.data)
-    net_cfg, train_cfg = load_run_config(args.config)
-    train_cfg = TrainConfig.from_dict({**train_cfg.to_dict(),
-                                       "epochs": train_cfg.epoch_cap(task)})
+    net_cfg, train_cfg = _resolved_configs(args.config, task)
     space = _load_json(args.space, "search space")
     validate_space(space)
-    dataset, load_seconds = _timed_load(load_node_dataset if task == "node" else load_kg_dataset, args.data)
-    out = _prepare_out(args.out)
-    _write_resolved_config(out, f"search-{task}", args.seed,
-                           {"data": args.data, "space": space, "trials": args.trials,
-                            "jobs": args.jobs}, net_cfg, train_cfg)
+    dataset, load_seconds = _timed_load(_LOADERS[task], args.data)
+    out = _write_resolved_config(args.out, f"search-{task}", args.seed,
+                                 {"data": args.data, "space": space, "trials": args.trials,
+                                  "jobs": args.jobs}, net_cfg, train_cfg)
     rows = random_search(task, dataset, net_cfg, train_cfg, space,
                          trials=args.trials, seed=args.seed, jobs=args.jobs)
     names = sorted(space)
-    with open(os.path.join(out, "trials.csv"), "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# seed={args.seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "trial", "val_metric", "test_metric", "best_epoch", "trial_seed"] + names)
-        for rank, row in enumerate(rows, start=1):
-            writer.writerow([rank, row["trial"], repr(row["val_metric"]), repr(row["test_metric"]),
-                             row["best_epoch"], row["seed"]] + [repr(row["params"][n]) for n in names])
+    _write_csv(os.path.join(out, "trials.csv"), f"seed={args.seed}",
+               ["rank", "trial", "val_metric", "test_metric", "best_epoch", "trial_seed"] + names,
+               [[rank, row["trial"], repr(row["val_metric"]), repr(row["test_metric"]),
+                 row["best_epoch"], row["seed"]] + [repr(row["params"][n]) for n in names]
+                for rank, row in enumerate(rows, start=1)])
     _write_json(os.path.join(out, "train_report.json"), {"seed": args.seed, "load_seconds": load_seconds})
     best = rows[0]
     print(f"best trial {best['trial']}: val={best['val_metric']:.4f} params={best['params']}")
@@ -226,40 +227,37 @@ def cmd_analyze_spectrum(args) -> int:
     src, dst = rows[:, 0], rows[:, 2]
     adj = np.zeros((int(max(src.max(), dst.max())) + 1,) * 2)
     adj[src, dst] = adj[dst, src] = 1.0
-    out = _prepare_out(args.out)
-    _write_resolved_config(out, "analyze-spectrum", args.seed,
-                           {"graph": args.graph, "alpha": args.alpha})
+    out = _write_resolved_config(args.out, "analyze-spectrum", args.seed,
+                                 {"graph": args.graph, "alpha": args.alpha})
     report = spectrum_report(adj, args.alpha)
-    write_spectrum_csv(report, os.path.join(out, "spectrum.csv"), seed=args.seed)
-    write_summary_json(report.summary(), os.path.join(out, "spectrum.json"), seed=args.seed)
+    columns = [report.lam, report.lam_hat, report.lam_hat_predicted, report.lam_g,
+               report.lam_hat_g, report.ratio, report.ratio_predicted]
+    _write_csv(os.path.join(out, "spectrum.csv"),
+               f"alpha={report.alpha!r} symmetrized={report.symmetrized} seed={args.seed}",
+               ["index", "lambda", "lambda_hat", "lambda_hat_predicted",
+                "lambda_g", "lambda_hat_g", "ratio", "ratio_predicted"],
+               # an indeterminate ratio (NaN) is an empty cell
+               [[i, *("" if np.isnan(v) else repr(v) for v in vals)]
+                for i, vals in enumerate(zip(*(c.tolist() for c in columns)))])
+    _write_json(os.path.join(out, "spectrum.json"), {**report.summary(), "seed": args.seed},
+                sort_keys=False)
     print(json.dumps(report.summary()))
     return 0
 
 
 def cmd_analyze_discrepancy(args) -> int:
-    values, config = load_checkpoint(args.checkpoint)
-    task = config.get("task")
-    if task == "node":
-        dataset = load_node_dataset(args.data)
-        net_cfg = NetworkConfig.from_dict(config["network"])
-        model = build_node_model(dataset, net_cfg, np.random.default_rng(args.seed))
-        model.store.restore(values)
-        net, features = model.net, model.features
-    elif task == "kg":
-        kg, model, _ = _restore_kg_model(args.data, args.checkpoint, args.seed)
-        net, features = model.net, model.store["entities"]
-    else:
-        raise CliError(f"checkpoint {args.checkpoint} has unknown task {task!r}")
-    out = _prepare_out(args.out)
-    _write_resolved_config(out, "analyze-discrepancy", args.seed,
-                           {"data": args.data, "checkpoint": args.checkpoint,
-                            "layer": args.layer, "head": args.head})
+    _, model, _ = _restore_model(args.data, args.checkpoint, args.seed)
+    out = _write_resolved_config(args.out, "analyze-discrepancy", args.seed,
+                                 {"data": args.data, "checkpoint": args.checkpoint,
+                                  "layer": args.layer, "head": args.head})
     try:
-        report = attention_discrepancy(net, features, args.layer, args.head)
+        report = attention_discrepancy(model.net, model.features, args.layer, args.head)
     except IndexError as exc:
         raise CliError(str(exc)) from exc
-    write_discrepancy_csv(report, os.path.join(out, "discrepancy.csv"), seed=args.seed)
-    write_summary_json(report.summary(), os.path.join(out, "discrepancy.json"), seed=args.seed)
+    _write_csv(os.path.join(out, "discrepancy.csv"), f"mean={report.mean!r} seed={args.seed}",
+               ["node", "delta"], [[i, repr(d)] for i, d in enumerate(report.per_node.tolist())])
+    _write_json(os.path.join(out, "discrepancy.json"), {**report.summary(), "seed": args.seed},
+                sort_keys=False)
     print(json.dumps(report.summary()))
     return 0
 
@@ -271,13 +269,10 @@ def cmd_ablate(args) -> int:
         raise CliError(f"unknown ablation flags: {sorted(unknown)}")
     if not flags:
         raise CliError("need at least one flag")
-    net_cfg, train_cfg = load_run_config(args.config)
-    train_cfg = TrainConfig.from_dict({**train_cfg.to_dict(), "seed": args.seed,
-                                       "epochs": train_cfg.epoch_cap("node")})
+    net_cfg, train_cfg = _resolved_configs(args.config, "node", seed=args.seed)
     dataset = load_node_dataset(args.data)
-    out = _prepare_out(args.out)
-    _write_resolved_config(out, "ablate", args.seed,
-                           {"data": args.data, "flags": flags}, net_cfg, train_cfg)
+    out = _write_resolved_config(args.out, "ablate", args.seed,
+                                 {"data": args.data, "flags": flags}, net_cfg, train_cfg)
 
     variants: list[tuple[str, tuple[str, ...]]] = [("full", ())]
     variants += [(flag, (flag,)) for flag in flags]
@@ -286,18 +281,12 @@ def cmd_ablate(args) -> int:
 
     rows = []
     for name, flag_set in variants:
-        cfg = net_cfg.with_flags(flag_set)
-        report, _ = train_node_classifier(dataset, cfg, train_cfg)
+        report, _ = train_node_classifier(dataset, net_cfg.with_flags(flag_set), train_cfg)
         label = "gat_equivalent" if set(flag_set) == set(ABLATION_FLAGS) else name
-        rows.append((name, label, report.best_val, report.test_metric, report.best_epoch))
-    with open(os.path.join(out, "ablation.csv"), "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# seed={args.seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "label", "val_metric", "test_metric", "best_epoch"])
-        for row in rows:
-            writer.writerow([row[0], row[1], repr(row[2]), repr(row[3]), row[4]])
-    for name, label, val, test, _ in rows:
-        print(f"{name} ({label}): val={val:.4f} test={test:.4f}")
+        rows.append([name, label, repr(report.best_val), repr(report.test_metric), report.best_epoch])
+        print(f"{name} ({label}): val={report.best_val:.4f} test={report.test_metric:.4f}")
+    _write_csv(os.path.join(out, "ablation.csv"), f"seed={args.seed}",
+               ["variant", "label", "val_metric", "test_metric", "best_epoch"], rows)
     return 0
 
 
@@ -317,13 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("train-node", help="train a node classifier")
-    common(p)
-    p.set_defaults(func=cmd_train_node)
-
-    p = sub.add_parser("train-kg", help="train a KG completion model")
-    common(p)
-    p.set_defaults(func=cmd_train_kg)
+    for task, what in (("node", "a node classifier"), ("kg", "a KG completion model")):
+        p = sub.add_parser(f"train-{task}", help=f"train {what}")
+        common(p)
+        p.set_defaults(func=cmd_train, task=task)
 
     p = sub.add_parser("eval-kg", help="filtered ranking metrics from a checkpoint")
     common(p, config=False)
@@ -336,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True, help="JSON search-space file")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--task", choices=["node", "kg"], default=None)
+    p.add_argument("--task", choices=list(_LOADERS), default=None)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("ablate", help="train ablation variants side by side")
@@ -351,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = asub.add_parser("spectrum", help="diffusion spectrum of a graph under uniform attention")
     p.add_argument("--graph", required=True, help="edge-list TSV file")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    common(p, data=False, config=False)
     p.set_defaults(func=cmd_analyze_spectrum)
 
     p = asub.add_parser("discrepancy", help="attention-vs-uniform discrepancy per node")

@@ -14,7 +14,7 @@ import numpy as np
 __all__ = ["dense_solve", "sym_eigen", "SingularMatrixError", "AsymmetricMatrixError"]
 
 _PIVOT_TOL = 1e-12
-_SYM_TOL = 1e-10
+SYM_TOL = 1e-10
 _MAX_SWEEPS = 60
 
 
@@ -62,8 +62,8 @@ def sym_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if m.shape[0] > 500:
         raise ValueError("sym_eigen is verification-scale only (n <= 500)")
     asym = np.max(np.abs(m - m.T)) if m.size else 0.0
-    if asym > _SYM_TOL:
-        raise AsymmetricMatrixError(f"max |M - M^T| = {asym:.3e} exceeds {_SYM_TOL}")
+    if asym > SYM_TOL:
+        raise AsymmetricMatrixError(f"max |M - M^T| = {asym:.3e} exceeds {SYM_TOL}")
 
     n = m.shape[0]
     a = (m + m.T) / 2.0

@@ -30,7 +30,6 @@ __all__ = [
     "cross_entropy_loss",
     "kl_label_smoothing_loss",
     "smoothed_targets",
-    "filtered_rank",
     "kg_filtered_ranks",
     "ranking_metrics",
 ]
@@ -196,15 +195,6 @@ def _rank_rows(scores: np.ndarray, rows: np.ndarray, targets: np.ndarray,
         ties = np.count_nonzero(row == s) - int(row[t] == s)
         ranks[j] = 1.0 + np.count_nonzero(row > s) + ties / 2.0
     return ranks
-
-
-def filtered_rank(scores: np.ndarray, target: int, known: np.ndarray) -> float:
-    """Rank of ``target`` among candidates after removing the other known-true
-    answers, an int array of entity ids; ties count half each."""
-    row = np.array(scores, dtype=np.float64).reshape(1, -1)
-    cols = np.asarray(known, dtype=np.int64)
-    return float(_rank_rows(row, np.zeros(1, dtype=np.int64), np.array([target]),
-                            np.zeros_like(cols), cols)[0])
 
 
 def kg_filtered_ranks(entity_repr: np.ndarray, relation_weights: np.ndarray,

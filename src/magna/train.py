@@ -225,8 +225,13 @@ class KgModel:
     store: ParamStore
     kg: KgDataset
 
+    @property
+    def features(self) -> Tensor:
+        """The entity embedding table, the network's input."""
+        return self.store["entities"]
+
     def entity_repr(self, *, training: bool = False, rng=None) -> Tensor:
-        return self.net.forward(self.store["entities"], training=training, rng=rng)
+        return self.net.forward(self.features, training=training, rng=rng)
 
 
 def build_kg_model(kg: KgDataset, cfg: NetworkConfig, rng: np.random.Generator,

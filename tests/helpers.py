@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference oracle and tiny graph builders.
+"""Shared test utilities: finite-difference oracle, tiny graph builders, and
+reference implementations that only tests call.
 
 The finite-difference gradient is the independent check for every tape op
 and for end-to-end training graphs; it only ever evaluates forward passes.
@@ -9,9 +10,10 @@ import tracemalloc
 
 import numpy as np
 
+from magna.attention import ORACLE_MAX_NODES
 from magna.graph import Graph, kg_queries
 from magna.tape import Tensor
-from magna.tasks import filtered_rank
+from magna.tasks import _rank_rows
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
@@ -156,6 +158,27 @@ def per_query_ranks(entity, relw, kg, triples):
             scores = (entity[e] * relw[q]) @ entity.T
             out.append(filtered_rank(scores, target, list(known_set(kg, e, q))))
     return np.array(out)
+
+
+def dense_attention(graph, att_values: np.ndarray) -> np.ndarray:
+    """Materialize per-edge attention as a dense matrix (oracle scale only)."""
+    if graph.num_nodes > ORACLE_MAX_NODES:
+        raise ValueError(f"dense export limited to {ORACLE_MAX_NODES} nodes")
+    att_values = np.asarray(att_values, dtype=np.float64).reshape(-1)
+    if att_values.shape[0] != graph.num_edges:
+        raise ValueError("attention length must equal edge count")
+    dense = np.zeros((graph.num_nodes, graph.num_nodes))
+    np.add.at(dense, (graph.dst, graph.src), att_values)
+    return dense
+
+
+def filtered_rank(scores: np.ndarray, target: int, known: np.ndarray) -> float:
+    """Rank of ``target`` among candidates after removing the other known-true
+    answers, an int array of entity ids; ties count half each."""
+    row = np.array(scores, dtype=np.float64).reshape(1, -1)
+    cols = np.asarray(known, dtype=np.int64)
+    return float(_rank_rows(row, np.zeros(1, dtype=np.int64), np.array([target]),
+                            np.zeros_like(cols), cols)[0])
 
 
 def path_graph(n: int = 3) -> Graph:

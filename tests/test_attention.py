@@ -8,7 +8,6 @@ from magna.attention import (
     RelationTable,
     attention_diffusion,
     attention_weights,
-    dense_attention,
     edge_scores,
     exact_diffusion_oracle,
     multi_head_diffusion,
@@ -17,7 +16,14 @@ from magna.graph import Graph
 from magna.optim import ParamStore
 from magna.tape import Tensor, _segment_softmax, layer_norm
 
-from helpers import check_grad, path_graph, proj_loss, random_attention, random_graph
+from helpers import (
+    check_grad,
+    dense_attention,
+    path_graph,
+    proj_loss,
+    random_attention,
+    random_graph,
+)
 
 PATH_DIFFUSED = np.array(
     [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from magna.cli import main
-from magna.graph import save_node_dataset
+from magna.graph import load_kg_dataset, load_node_dataset, save_node_dataset
 
 from helpers import compositional_kg, read_bytes, read_json, separable_node_dataset
 
@@ -37,6 +37,22 @@ def tiny_config(tmp_path_factory):
     with open(path, "w") as fh:
         json.dump(config, fh)
     return path
+
+
+@pytest.fixture(scope="module")
+def node_checkpoint(node_dir, tiny_config, tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("node_ckpt"))
+    assert main(["train-node", "--data", node_dir, "--config", tiny_config,
+                 "--out", out, "--seed", "5"]) == 0
+    return os.path.join(out, "checkpoint.json")
+
+
+@pytest.fixture(scope="module")
+def kg_checkpoint(kg_dir, tiny_config, tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("kg_ckpt"))
+    assert main(["train-kg", "--data", kg_dir, "--config", tiny_config,
+                 "--out", out, "--seed", "3"]) == 0
+    return os.path.join(out, "checkpoint.json")
 
 
 def read_csv_rows(path):
@@ -285,3 +301,73 @@ def test_sweep_script_runs(node_dir, tiny_config, tmp_path):
     header, rows = read_csv_rows(out_csv)
     assert [r["hops"] for r in rows] == ["1", "2"]
     assert all(0.0 <= float(r["mean_test"]) <= 1.0 for r in rows)
+
+
+def test_checkpoint_config_records_model_shape(node_dir, kg_dir, node_checkpoint, kg_checkpoint):
+    """The checkpoint's config holds what rebuilding the model needs, and
+    nothing else."""
+    node = load_node_dataset(node_dir)
+    config = read_json(node_checkpoint)["config"]
+    assert set(config) == {"task", "network", "in_dim", "num_classes"}
+    assert config["task"] == "node"
+    assert (config["in_dim"], config["num_classes"]) == (node.features.shape[1], node.num_classes)
+    config = read_json(kg_checkpoint)["config"]
+    assert config == {"task": "kg", "network": config["network"], "entity_dim": 100}
+    assert config["network"]["dim"] == 8
+
+
+def test_analyze_discrepancy_on_kg_checkpoint(kg_dir, kg_checkpoint, tmp_path):
+    out = str(tmp_path / "disc")
+    rc = main(["analyze", "discrepancy", "--data", kg_dir, "--checkpoint", kg_checkpoint,
+               "--layer", "0", "--head", "1", "--out", out, "--seed", "2"])
+    assert rc == 0
+    header, rows = read_csv_rows(os.path.join(out, "discrepancy.csv"))
+    assert header.endswith(" seed=2\n")
+    assert len(rows) == load_kg_dataset(kg_dir).num_entities
+    summary = read_json(os.path.join(out, "discrepancy.json"))
+    assert list(summary) == ["mean", "num_nodes", "max", "seed"]
+    assert summary["num_nodes"] == len(rows)
+    assert summary["mean"] == pytest.approx(np.mean([float(r["delta"]) for r in rows]), abs=1e-12)
+    assert read_json(os.path.join(out, "config.resolved.json"))["task"] == "analyze-discrepancy"
+
+
+def test_eval_kg_rejects_node_checkpoint(node_dir, node_checkpoint, tmp_path, capsys):
+    out = str(tmp_path / "o")
+    rc = main(["eval-kg", "--data", node_dir, "--checkpoint", node_checkpoint, "--out", out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {node_checkpoint}: ") and "'node'" in err
+    assert not os.path.exists(out)
+
+
+def _drop_params(payload):
+    del payload["params"]
+
+
+def _drop_network(payload):
+    del payload["config"]["network"]
+
+
+def _drop_one_param(payload):
+    del payload["params"][sorted(payload["params"])[0]]
+
+
+def _reshape_one_param(payload):
+    payload["params"][sorted(payload["params"])[0]] = {"shape": [1, 1], "values": [0.0]}
+
+
+@pytest.mark.parametrize("corrupt", [_drop_params, _drop_network, _drop_one_param, _reshape_one_param])
+@pytest.mark.parametrize("command", [["eval-kg"], ["analyze", "discrepancy", "--layer", "0", "--head", "0"]],
+                         ids=["eval-kg", "discrepancy"])
+def test_malformed_checkpoint_fails_with_message(kg_dir, kg_checkpoint, tmp_path, capsys,
+                                                 corrupt, command):
+    payload = read_json(kg_checkpoint)
+    corrupt(payload)
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump(payload, fh)
+    out = str(tmp_path / "o")
+    rc = main(command + ["--data", kg_dir, "--checkpoint", bad, "--out", out])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: malformed checkpoint: ")
+    assert not os.path.exists(out)

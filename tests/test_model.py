@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from magna.attention import dense_attention
 from magna.graph import Graph
 from magna.model import MagnaNet, NetworkConfig
 from magna.optim import ParamStore
 from magna.tape import Tensor
 
-from helpers import check_grad, count_ops, ops_named, proj_loss, random_graph
+from helpers import check_grad, count_ops, dense_attention, ops_named, proj_loss, random_graph
 
 
 def small_cfg(**over):

@@ -12,7 +12,6 @@ from magna.graph import kg_queries
 from magna.tape import Tensor, distmult_scores
 from magna.tasks import (
     cross_entropy_loss,
-    filtered_rank,
     kg_filtered_ranks,
     kl_label_smoothing_loss,
     ranking_metrics,
@@ -24,6 +23,7 @@ from helpers import (
     brute_force_ranks,
     check_grad,
     compositional_kg,
+    filtered_rank,
     known_set,
     mul,
     peak_traced_bytes,
