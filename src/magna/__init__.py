@@ -8,8 +8,6 @@ from .analysis import (
 )
 from .attention import (
     AttentionHeadParams,
-    DiffusionConfig,
-    RelationTable,
     attention_diffusion,
     attention_weights,
     edge_scores,

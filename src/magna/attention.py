@@ -1,11 +1,13 @@
 """Per-edge attention, row-stochastic weights, and multi-hop attention diffusion.
 
-The diffusion layer never materializes hop weights or dense matrices: the
-recursion Z <- (1-a) * A Z + a * Z0 realizes the geometric hop mixture
-implicitly, and after K steps Z approximates the personalized-PageRank
-aggregation a * (I - (1-a) A)^-1 H with max-norm error at most
-2 (1-a)^K * max|H|. The dense oracle form exists alongside for verification
-at small scale.
+The layer takes plain values: the teleport probability alpha and hop count
+K, which ``NetworkConfig`` validates, and the relation-embedding table, a
+(num_relations, d_r) ``Tensor``. The diffusion layer never materializes hop
+weights or dense matrices: the recursion Z <- (1-a) * A Z + a * Z0 realizes
+the geometric hop mixture implicitly, and after K steps Z approximates the
+personalized-PageRank aggregation a * (I - (1-a) A)^-1 H with max-norm error
+at most 2 (1-a)^K * max|H|. The dense oracle form exists alongside for
+verification at small scale.
 """
 
 from __future__ import annotations
@@ -29,9 +31,7 @@ from .tape import (
 
 __all__ = [
     "LEAKY_SLOPE",
-    "DiffusionConfig",
     "AttentionHeadParams",
-    "RelationTable",
     "edge_scores",
     "attention_weights",
     "attention_diffusion",
@@ -41,20 +41,6 @@ __all__ = [
 
 LEAKY_SLOPE = 0.2
 ORACLE_MAX_NODES = 2000
-
-
-@dataclass(frozen=True)
-class DiffusionConfig:
-    """Teleport probability and hop count; hop i carries weight a*(1-a)^i."""
-
-    alpha: float
-    hops: int
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.hops < 1:
-            raise ValueError(f"hop count must be >= 1, got {self.hops}")
 
 
 @dataclass(frozen=True)
@@ -82,41 +68,29 @@ class AttentionHeadParams:
         )
 
 
-@dataclass(frozen=True)
-class RelationTable:
-    """Trainable relation embeddings, one row per relation id."""
-
-    table: Tensor
-
-    @classmethod
-    def create(cls, store: ParamStore, name: str, num_relations: int, relation_dim: int,
-               rng: np.random.Generator) -> "RelationTable":
-        return cls(table=store.glorot(name, (num_relations, relation_dim), rng))
-
-
-def edge_scores(h: Tensor, graph, params: AttentionHeadParams, relations: RelationTable) -> Tensor:
+def edge_scores(h: Tensor, graph, params: AttentionHeadParams, relations: Tensor) -> Tensor:
     """Raw attention score per directed edge (src, rel, dst), shape (E, 1), off the tape.
 
     leaky_relu(v_a . tanh(W_h h_src || W_t h_dst || W_r r_rel)): the scores
     that ``attention_weights`` normalizes, from the same forward helper.
     """
-    scores, _, _ = _attention_scores(h.data, params.w_h.data, params.w_t.data, relations.table.data,
+    scores, _, _ = _attention_scores(h.data, params.w_h.data, params.w_t.data, relations.data,
                                      params.w_r.data, params.v_a.data, graph, LEAKY_SLOPE, False)
     return Tensor(scores)
 
 
-def attention_weights(h: Tensor, graph, params: AttentionHeadParams, relations: RelationTable) -> Tensor:
+def attention_weights(h: Tensor, graph, params: AttentionHeadParams, relations: Tensor) -> Tensor:
     """Row-stochastic attention restricted to edges: the softmax per
     destination of ``edge_scores``, as one ``edge_attention`` tape node.
 
     Every node must have at least one incoming edge (use
     ``Graph.with_self_loops`` beforehand); empty rows are never normalized.
     """
-    return edge_attention(h, params.w_h, params.w_t, relations.table, params.w_r, params.v_a,
+    return edge_attention(h, params.w_h, params.w_t, relations, params.w_r, params.v_a,
                           graph, LEAKY_SLOPE)
 
 
-def attention_diffusion(att: Tensor, h: Tensor, cfg: DiffusionConfig, graph) -> Tensor:
+def attention_diffusion(att: Tensor, h: Tensor, graph, hops: int, alpha: float) -> Tensor:
     """K-step iterative approximation of the diffused aggregation.
 
     One ``edge_spmm`` tape node per head runs all K hops and differentiates
@@ -124,7 +98,7 @@ def attention_diffusion(att: Tensor, h: Tensor, cfg: DiffusionConfig, graph) -> 
     state after the forward: a recorded backward recomputes one head's
     states at a time.
     """
-    return edge_spmm(att, h, graph, cfg.hops, cfg.alpha)
+    return edge_spmm(att, h, graph, hops, alpha)
 
 
 def exact_diffusion_oracle(a_dense: np.ndarray, alpha: float) -> np.ndarray:
@@ -152,24 +126,26 @@ def multi_head_diffusion(
     h: Tensor,
     graph,
     heads,
-    relations: RelationTable,
-    cfg: DiffusionConfig,
+    relation_table: Tensor,
     w_o: Tensor,
     *,
+    hops: int,
+    alpha: float,
     ln: tuple[Tensor, Tensor] | None = None,
     attention_dropout: float = 0.0,
     rng: np.random.Generator | None = None,
     training: bool = False,
-    no_diffusion: bool = False,
     capture: dict | None = None,
     capture_prefix: str = "",
 ) -> Tensor:
     """Normalize, run every head's attention diffusion, concatenate, mix.
 
-    Heads share the normalized input but keep independent attention
-    parameters. Attention dropout draws one mask per head per forward pass;
-    the dropped attention tensor is reused across all diffusion hops, and
-    rows are not re-normalized after dropping.
+    Every head diffuses ``hops`` steps with teleport ``alpha``; ``hops=1,
+    alpha=0.0`` gives the one-hop product A H. Heads share the normalized
+    input but keep independent attention parameters. Attention dropout draws
+    one mask per head per forward pass; the dropped attention tensor is
+    reused across all diffusion hops, and rows are not re-normalized after
+    dropping.
     """
     heads = list(heads)
     d = h.shape[1]
@@ -178,14 +154,11 @@ def multi_head_diffusion(
     h_norm = layer_norm(h, ln[0], ln[1]) if ln is not None else h
     outputs = []
     for i, head in enumerate(heads):
-        att = attention_weights(h_norm, graph, head, relations)
+        att = attention_weights(h_norm, graph, head, relation_table)
         if capture is not None:
             capture[f"{capture_prefix}head{i}"] = att.data.reshape(-1).copy()
         if training and attention_dropout > 0.0:
             att = dropout(att, attention_dropout, rng, training)
-        if no_diffusion:
-            outputs.append(edge_spmm(att, h_norm, graph))
-        else:
-            outputs.append(attention_diffusion(att, h_norm, cfg, graph))
+        outputs.append(attention_diffusion(att, h_norm, graph, hops, alpha))
     stacked = outputs[0] if len(outputs) == 1 else concat_cols(outputs)
     return matmul(stacked, w_o)

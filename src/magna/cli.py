@@ -123,14 +123,15 @@ def _restore_model(data_dir: str, checkpoint: str, seed: int, task: str | None =
     only kind accepted. Returns the dataset, the model and its network config."""
     try:
         values, config = load_checkpoint(checkpoint)
-        network = config["network"]
+        net_cfg = NetworkConfig.from_dict(config["network"])
     except KeyError as exc:
         raise CliError(f"{checkpoint}: malformed checkpoint: no {exc.args[0]!r} entry") from exc
+    except (TypeError, ValueError) as exc:  # not JSON, another format version, a bad network value
+        raise CliError(f"{checkpoint}: malformed checkpoint: {exc}") from exc
     kind = config.get("task")
     expected = [task] if task else list(_LOADERS)
     if kind not in expected:
         raise CliError(f"{checkpoint}: task {kind!r}, expected {' or '.join(expected)}")
-    net_cfg = NetworkConfig.from_dict(network)
     data = _LOADERS[kind](data_dir)
     rng = np.random.default_rng(seed)
     if kind == "node":

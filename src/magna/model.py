@@ -1,10 +1,12 @@
 """Stacked residual blocks around multi-head attention diffusion.
 
 One block: Hhat = MultiHeadDiffusion(LN(H)) + H, then a feed-forward
-sub-layer W2 relu(W1 LN(Hhat) + b1) + b2 + Hhat. Ablation switches strip the
-pieces individually; with all three off a block degenerates to a one-hop
-attention layer (elu(A @ H W) plus the residual), which is the classical
-graph-attention baseline this architecture extends.
+sub-layer W2 relu(W1 LN(Hhat) + b1) + b2 + Hhat. Every block shares one
+relation-embedding table, the ``relations`` parameter. Ablation switches
+strip the pieces individually: ``no_diffusion`` runs each head with K = 1,
+alpha = 0, the one-hop product A H. With all three off a block degenerates
+to a one-hop attention layer (elu(A @ H W) plus the residual), which is the
+classical graph-attention baseline this architecture extends.
 """
 
 from __future__ import annotations
@@ -13,12 +15,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .attention import (
-    AttentionHeadParams,
-    DiffusionConfig,
-    RelationTable,
-    multi_head_diffusion,
-)
+from .attention import AttentionHeadParams, multi_head_diffusion
 from .graph import Graph
 from .optim import ParamStore
 from .tape import Tensor, add, dropout, elu, layer_norm, matmul, no_grad, relu
@@ -54,10 +51,10 @@ class NetworkConfig:
         for rate in (self.dropout_attention, self.dropout_feature):
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.diffusion()  # validates alpha/hops
-
-    def diffusion(self) -> DiffusionConfig:
-        return DiffusionConfig(alpha=self.alpha, hops=self.hops)
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+        if self.hops < 1:
+            raise ValueError(f"hop count must be >= 1, got {self.hops}")
 
     @property
     def ffn_width(self) -> int:
@@ -128,9 +125,7 @@ class MagnaNet:
         self.store = store
         self.proj_w = store.glorot("input.w", (self.in_dim, cfg.dim), rng)
         self.proj_b = store.zeros("input.b", (1, cfg.dim))
-        self.relations = RelationTable.create(
-            store, "relations", graph.num_relations, cfg.relation_dim, rng
-        )
+        self.relations = store.glorot("relations", (graph.num_relations, cfg.relation_dim), rng)
         self.blocks = [
             MagnaBlockParams.create(store, f"block{i}", cfg, rng) for i in range(cfg.blocks)
         ]
@@ -143,18 +138,19 @@ class MagnaNet:
         x = h_in
         if training and cfg.dropout_feature > 0.0:
             x = dropout(x, cfg.dropout_feature, rng, training)
+        hops, alpha = (1, 0.0) if cfg.no_diffusion else (cfg.hops, cfg.alpha)
         mixed = multi_head_diffusion(
             x,
             self.graph,
             bp.heads,
             self.relations,
-            cfg.diffusion(),
             bp.w_o,
+            hops=hops,
+            alpha=alpha,
             ln=None if cfg.no_layernorm else bp.ln1,
             attention_dropout=cfg.dropout_attention,
             rng=rng,
             training=training,
-            no_diffusion=cfg.no_diffusion,
             capture=capture,
             capture_prefix=f"block{index}.",
         )

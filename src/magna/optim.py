@@ -75,7 +75,8 @@ class ParamStore:
         for name, arr in values.items():
             p = self._params[name]
             if p.data.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name!r}: {p.data.shape} vs {arr.shape}")
+                raise ValueError(f"shape mismatch for {name!r}: the checkpoint has {arr.shape}, "
+                                 f"the model needs {p.data.shape}")
             p.data = np.array(arr, dtype=p.data.dtype)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from magna.analysis import attention_discrepancy, spectrum_report
-from magna.attention import DiffusionConfig, exact_diffusion_oracle
+from magna.attention import exact_diffusion_oracle
 from magna.cli import main as cli_main
 from magna.graph import load_kg_dataset, load_node_dataset
 from magna.model import MagnaNet, NetworkConfig

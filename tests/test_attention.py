@@ -4,8 +4,6 @@ from numpy.testing import assert_allclose
 
 from magna.attention import (
     AttentionHeadParams,
-    DiffusionConfig,
-    RelationTable,
     attention_diffusion,
     attention_weights,
     edge_scores,
@@ -13,6 +11,7 @@ from magna.attention import (
     multi_head_diffusion,
 )
 from magna.graph import Graph
+from magna.model import NetworkConfig
 from magna.optim import ParamStore
 from magna.tape import Tensor, _segment_softmax, layer_norm
 
@@ -53,16 +52,17 @@ def uniform_path():
 
 
 # ---------------------------------------------------------------------------
-# diffusion config
+# diffusion settings
 
 
 def test_diffusion_config_validation():
-    with pytest.raises(ValueError):
-        DiffusionConfig(alpha=0.0, hops=3)
-    with pytest.raises(ValueError):
-        DiffusionConfig(alpha=1.2, hops=3)
-    with pytest.raises(ValueError):
-        DiffusionConfig(alpha=0.5, hops=0)
+    # The layer takes plain alpha and hops; NetworkConfig is where they are checked.
+    with pytest.raises(ValueError, match="alpha"):
+        NetworkConfig(alpha=0.0, hops=3)
+    with pytest.raises(ValueError, match="alpha"):
+        NetworkConfig(alpha=1.2, hops=3)
+    with pytest.raises(ValueError, match="hop count"):
+        NetworkConfig(alpha=0.5, hops=0)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,7 @@ def test_diffusion_config_validation():
 def test_zero_parameters_give_zero_scores():
     g = path_graph(3)
     head = scalar_head(w=0.0, va=(0.0, 0.0, 0.0))
-    rel = RelationTable(table=Tensor([[0.0]]))
+    rel = Tensor([[0.0]])
     h = Tensor(np.random.default_rng(0).normal(size=(3, 1)))
     assert_allclose(edge_scores(h, g, head, rel).data, np.zeros((4, 1)))
 
@@ -80,7 +80,7 @@ def test_zero_parameters_give_zero_scores():
 def test_zero_scoring_vector_gives_uniform_attention(rng):
     g = path_graph(4)
     head = scalar_head(w=1.0, va=(0.0, 0.0, 0.0))
-    rel = RelationTable(table=Tensor([[0.3]]))
+    rel = Tensor([[0.3]])
     h = Tensor(rng.normal(size=(4, 1)))
     att = attention_weights(h, g, head, rel)
     for node in range(4):
@@ -91,7 +91,7 @@ def test_zero_scoring_vector_gives_uniform_attention(rng):
 def test_single_edge_score_value():
     g = Graph(2, 1, [(0, 0, 1)])
     head = scalar_head()
-    rel = RelationTable(table=Tensor([[0.1]]))
+    rel = Tensor([[0.1]])
     h = Tensor([[0.1], [0.1]])
     score = edge_scores(h, g, head, rel).data[0, 0]
     assert score == pytest.approx(3.0 * np.tanh(0.1), abs=1e-12)
@@ -101,7 +101,7 @@ def test_single_edge_score_value():
 def test_relation_id_out_of_table_range(rng):
     g = Graph(2, 2, [(0, 1, 1)])
     head = scalar_head()
-    rel = RelationTable(table=Tensor([[0.1]]))  # one relation only
+    rel = Tensor([[0.1]])  # one relation only
     with pytest.raises(ValueError, match="relation id"):
         edge_scores(Tensor(rng.normal(size=(2, 1))), g, head, rel)
 
@@ -114,7 +114,7 @@ def test_uniform_scores_give_thirds():
     g = Graph(4, 1, [(0, 0, 3), (1, 0, 3), (2, 0, 3), (3, 0, 0)])
     head = scalar_head(w=0.0, va=(0.0, 0.0, 0.0))  # every score 0
     h = Tensor(np.arange(4.0).reshape(4, 1))
-    att = attention_weights(h, g, head, RelationTable(table=Tensor([[0.5]])))
+    att = attention_weights(h, g, head, Tensor([[0.5]]))
     row = att.data[g.in_indptr[3] : g.in_indptr[4]]
     assert_allclose(row, np.full((3, 1), 1.0 / 3.0))
 
@@ -149,20 +149,20 @@ def test_shift_invariance_per_destination(rng):
 def test_alpha_one_collapses_to_identity(rng):
     g, att = uniform_path()
     h = Tensor(rng.normal(size=(3, 2)))
-    out = attention_diffusion(att, h, DiffusionConfig(alpha=1.0, hops=7), g)
+    out = attention_diffusion(att, h, g, 7, 1.0)
     assert np.array_equal(out.data, h.data)
 
 
 def test_all_ones_is_exact_fixed_point():
     g, att = uniform_path()
     h = Tensor(np.ones((3, 1)))
-    out = attention_diffusion(att, h, DiffusionConfig(alpha=0.3, hops=9), g)
+    out = attention_diffusion(att, h, g, 9, 0.3)
     assert np.max(np.abs(out.data - 1.0)) <= 1e-12
 
 
 def test_path_diffusion_converges_to_hand_checked_matrix():
     g, att = uniform_path()
-    out = attention_diffusion(att, Tensor(np.eye(3)), DiffusionConfig(alpha=0.5, hops=60), g)
+    out = attention_diffusion(att, Tensor(np.eye(3)), g, 60, 0.5)
     # with H = I the iteration recovers the diffused matrix itself
     assert_allclose(out.data, PATH_DIFFUSED, atol=1e-12)
 
@@ -202,9 +202,7 @@ def test_convergence_bound_and_monotonicity(rng):
             target = exact_diffusion_oracle(dense, alpha) @ h
             prev = np.inf
             for hops in range(1, 13):
-                out = attention_diffusion(
-                    Tensor(att), Tensor(h), DiffusionConfig(alpha=alpha, hops=hops), g
-                ).data
+                out = attention_diffusion(Tensor(att), Tensor(h), g, hops, alpha).data
                 err = np.max(np.abs(out - target))
                 assert err <= 2.0 * (1.0 - alpha) ** hops * h_norm + 1e-12
                 assert err <= prev + 1e-12
@@ -232,8 +230,7 @@ def test_two_hop_sensitivity_on_path():
     bumped[2] += 10.0
 
     def node0(hops, alpha, features):
-        cfg = DiffusionConfig(alpha=alpha, hops=hops)
-        return attention_diffusion(Tensor(att.data), Tensor(features), cfg, g).data[0]
+        return attention_diffusion(Tensor(att.data), Tensor(features), g, hops, alpha).data[0]
 
     # one hop cannot see node 2 from node 0; two hops can
     assert_allclose(node0(1, 0.5, h), node0(1, 0.5, bumped))
@@ -246,14 +243,13 @@ def test_gradients_through_diffusion(rng):
     g = random_graph(rng, 6, extra_edges=4)
     store = ParamStore()
     head = make_head(store, "h0", 3, 2, rng)
-    rel = RelationTable.create(store, "rel", g.num_relations, 2, rng)
+    rel = store.glorot("rel", (g.num_relations, 2), rng)
     h = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     proj = rng.normal(size=(6, 3))
-    cfg = DiffusionConfig(alpha=0.4, hops=4)
 
     def loss():
         att = attention_weights(h, g, head, rel)
-        return proj_loss(attention_diffusion(att, h, cfg, g), proj)
+        return proj_loss(attention_diffusion(att, h, g, 4, 0.4), proj)
 
     params = {name: t for name, t in store.items()}
     params["h"] = h
@@ -269,12 +265,11 @@ def test_single_head_identity_mix_returns_layer_norm(rng):
     d = 3
     store = ParamStore()
     head = make_head(store, "h0", d, 2, rng)
-    rel = RelationTable.create(store, "rel", g.num_relations, 2, rng)
+    rel = store.glorot("rel", (g.num_relations, 2), rng)
     gamma, beta = Tensor(np.ones((1, d))), Tensor(np.zeros((1, d)))
     h = Tensor(rng.normal(size=(5, d)))
     out = multi_head_diffusion(
-        h, g, [head], rel, DiffusionConfig(alpha=1.0, hops=4), Tensor(np.eye(d)),
-        ln=(gamma, beta),
+        h, g, [head], rel, Tensor(np.eye(d)), hops=4, alpha=1.0, ln=(gamma, beta),
     )
     assert_allclose(out.data, layer_norm(h, gamma, beta).data, atol=1e-12)
 
@@ -284,12 +279,11 @@ def test_duplicate_heads_with_halved_mix_match_single_head(rng):
     d = 4
     store = ParamStore()
     head = make_head(store, "h0", d, 2, rng)
-    rel = RelationTable.create(store, "rel", g.num_relations, 2, rng)
+    rel = store.glorot("rel", (g.num_relations, 2), rng)
     h = Tensor(rng.normal(size=(6, d)))
-    cfg = DiffusionConfig(alpha=0.3, hops=3)
-    single = multi_head_diffusion(h, g, [head], rel, cfg, Tensor(np.eye(d)))
+    single = multi_head_diffusion(h, g, [head], rel, Tensor(np.eye(d)), hops=3, alpha=0.3)
     stacked = np.vstack([np.eye(d) / 2.0, np.eye(d) / 2.0])
-    double = multi_head_diffusion(h, g, [head, head], rel, cfg, Tensor(stacked))
+    double = multi_head_diffusion(h, g, [head, head], rel, Tensor(stacked), hops=3, alpha=0.3)
     assert_allclose(double.data, single.data, atol=1e-15)
 
 
@@ -298,12 +292,11 @@ def test_multi_head_output_shape_large(rng):
     d, heads_n = 64, 8
     store = ParamStore()
     heads = [make_head(store, f"h{i}", d, 8, rng) for i in range(heads_n)]
-    rel = RelationTable.create(store, "rel", g.num_relations, 8, rng)
+    rel = store.glorot("rel", (g.num_relations, 8), rng)
     w_o = store.glorot("w_o", (heads_n * d, d), rng)
     gamma, beta = Tensor(np.ones((1, d))), Tensor(np.zeros((1, d)))
     h = Tensor(rng.normal(size=(2708, d)))
-    out = multi_head_diffusion(h, g, heads, rel, DiffusionConfig(alpha=0.15, hops=4),
-                               w_o, ln=(gamma, beta))
+    out = multi_head_diffusion(h, g, heads, rel, w_o, hops=4, alpha=0.15, ln=(gamma, beta))
     assert out.data.shape == (2708, 64)
     assert np.all(np.isfinite(out.data))
 
@@ -312,10 +305,10 @@ def test_wo_shape_mismatch_rejected(rng):
     g = path_graph(3)
     store = ParamStore()
     head = make_head(store, "h0", 2, 1, rng)
-    rel = RelationTable.create(store, "rel", 1, 1, rng)
+    rel = store.glorot("rel", (1, 1), rng)
     with pytest.raises(ValueError, match="w_o"):
         multi_head_diffusion(Tensor(rng.normal(size=(3, 2))), g, [head], rel,
-                             DiffusionConfig(alpha=0.5, hops=2), Tensor(np.eye(3)))
+                             Tensor(np.eye(3)), hops=2, alpha=0.5)
 
 
 def test_edge_scores_match_literal_per_edge_formula(rng):
@@ -325,7 +318,7 @@ def test_edge_scores_match_literal_per_edge_formula(rng):
     d, d_r = 5, 4
     store = ParamStore()
     head = make_head(store, "h0", d, d_r, rng)
-    rel = RelationTable.create(store, "rel", g.num_relations, d_r, rng)
+    rel = store.glorot("rel", (g.num_relations, d_r), rng)
     h = Tensor(rng.normal(size=(8, d)))
 
     vectorized = edge_scores(h, g, head, rel).data.reshape(-1)
@@ -335,7 +328,7 @@ def test_edge_scores_match_literal_per_edge_formula(rng):
         cat = np.concatenate([
             w_h @ h.data[g.src[e]],
             w_t @ h.data[g.dst[e]],
-            w_r @ rel.table.data[g.rel[e]],
+            w_r @ rel.data[g.rel[e]],
         ])
         raw = float(v_a @ np.tanh(cat))
         literal = raw if raw > 0 else 0.2 * raw

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from magna.cli import main
-from magna.graph import load_kg_dataset, load_node_dataset, save_node_dataset
+from magna.graph import NodeDataset, load_kg_dataset, load_node_dataset, save_node_dataset
 
 from helpers import compositional_kg, read_bytes, read_json, separable_node_dataset
 
@@ -356,18 +356,54 @@ def _reshape_one_param(payload):
     payload["params"][sorted(payload["params"])[0]] = {"shape": [1, 1], "values": [0.0]}
 
 
-@pytest.mark.parametrize("corrupt", [_drop_params, _drop_network, _drop_one_param, _reshape_one_param])
+def _mistype_network_value(payload):
+    payload["config"]["network"]["dim"] = "x"
+
+
+def _bad_network_value(payload):
+    payload["config"]["network"]["hops"] = 0
+
+
+def _future_version(payload):
+    payload["format_version"] = 9
+
+
+def _not_json(payload):
+    return "{"  # the whole file
+
+
+@pytest.mark.parametrize("corrupt", [_drop_params, _drop_network, _drop_one_param, _reshape_one_param,
+                                     _mistype_network_value, _bad_network_value, _future_version,
+                                     _not_json])
 @pytest.mark.parametrize("command", [["eval-kg"], ["analyze", "discrepancy", "--layer", "0", "--head", "0"]],
                          ids=["eval-kg", "discrepancy"])
 def test_malformed_checkpoint_fails_with_message(kg_dir, kg_checkpoint, tmp_path, capsys,
                                                  corrupt, command):
     payload = read_json(kg_checkpoint)
-    corrupt(payload)
+    text = corrupt(payload)
     bad = str(tmp_path / "bad.json")
     with open(bad, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload) if text is None else text)
     out = str(tmp_path / "o")
     rc = main(command + ["--data", kg_dir, "--checkpoint", bad, "--out", out])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}: malformed checkpoint: ")
+    assert not os.path.exists(out)
+
+
+def test_checkpoint_on_other_feature_width_names_both_shapes(node_dir, node_checkpoint, tmp_path,
+                                                              capsys):
+    """A node model takes its input width from --data, not from the
+    checkpoint; on wider features the error names both shapes."""
+    node = load_node_dataset(node_dir)
+    wider = np.hstack([node.features, node.features])
+    other = str(tmp_path / "wider")
+    save_node_dataset(NodeDataset(node.graph, wider, node.labels, node.split, node.num_classes), other)
+    out = str(tmp_path / "o")
+    rc = main(["analyze", "discrepancy", "--data", other, "--checkpoint", node_checkpoint,
+               "--layer", "0", "--head", "0", "--out", out])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {node_checkpoint}: malformed checkpoint: shape mismatch for 'input.w': "
+        f"the checkpoint has (4, 8), the model needs (8, 8)\n")
     assert not os.path.exists(out)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from magna.attention import attention_weights
 from magna.graph import Graph
 from magna.model import MagnaNet, NetworkConfig
 from magna.optim import ParamStore
-from magna.tape import Tensor
+from magna.tape import Tensor, add, concat_cols, edge_spmm, elu, matmul
 
 from helpers import check_grad, count_ops, dense_attention, ops_named, proj_loss, random_graph
 
@@ -27,6 +28,12 @@ def test_config_validation():
         NetworkConfig(blocks=0)
     with pytest.raises(ValueError):
         NetworkConfig(dropout_feature=1.0)
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\], got 0.0"):
+        NetworkConfig(alpha=0.0)
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\], got 1.2"):
+        NetworkConfig(alpha=1.2)
+    with pytest.raises(ValueError, match="hop count must be >= 1, got 0"):
+        NetworkConfig(hops=0)
     with pytest.raises(ValueError):
         NetworkConfig.from_dict({"blociks": 3})
     with pytest.raises(ValueError):
@@ -60,6 +67,12 @@ def test_gat_recovery_is_structural(rng):
     assert count_ops(out, "layer_norm") == 0
     assert count_ops(out, "elu") == cfg.blocks
     assert count_ops(out, "relu") == 0
+    # bitwise the one-hop graph-attention layer: one A H product per head
+    x = Tensor(rng.normal(size=(7, cfg.dim)))
+    bp = net.blocks[0]
+    per_head = [edge_spmm(attention_weights(x, g, head, net.relations), x, g) for head in bp.heads]
+    gat = elu(add(matmul(concat_cols(per_head), bp.w_o), x))
+    assert np.array_equal(net.block_forward(0, x).data, gat.data)
 
 
 def test_full_block_runs_one_diffusion_node_per_head(rng):
