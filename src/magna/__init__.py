@@ -21,8 +21,6 @@ from .graph import (
     NodeDataset,
     load_kg_dataset,
     load_node_dataset,
-    save_kg_dataset,
-    save_node_dataset,
 )
 from .linalg import dense_solve, sym_eigen
 from .model import MagnaNet, NetworkConfig

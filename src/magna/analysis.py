@@ -160,8 +160,6 @@ def verify_eigenvector_sharing(weights: np.ndarray, alpha: float) -> float:
 class DiscrepancyReport:
     per_node: np.ndarray
     mean: float
-    bin_edges: np.ndarray
-    bin_counts: np.ndarray
 
     def summary(self) -> dict:
         return {
@@ -188,10 +186,7 @@ def discrepancy_from_attention(att_values: np.ndarray, graph: Graph) -> Discrepa
             continue
         row = att_values[graph.in_indptr[node] : graph.in_indptr[node + 1]]
         deltas[node] = np.linalg.norm(row - 1.0 / deg) / deg
-    top = max(float(deltas.max()), 1e-12)
-    counts, edges = np.histogram(deltas, bins=20, range=(0.0, top))
-    return DiscrepancyReport(per_node=deltas, mean=float(deltas.mean()),
-                             bin_edges=edges, bin_counts=counts)
+    return DiscrepancyReport(per_node=deltas, mean=float(deltas.mean()))
 
 
 def attention_discrepancy(net, features, layer: int, head: int) -> DiscrepancyReport:

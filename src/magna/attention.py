@@ -157,8 +157,6 @@ def multi_head_diffusion(
         att = attention_weights(h_norm, graph, head, relation_table)
         if capture is not None:
             capture[f"{capture_prefix}head{i}"] = att.data.reshape(-1).copy()
-        if training and attention_dropout > 0.0:
-            att = dropout(att, attention_dropout, rng, training)
+        att = dropout(att, attention_dropout, rng, training)
         outputs.append(attention_diffusion(att, h_norm, graph, hops, alpha))
-    stacked = outputs[0] if len(outputs) == 1 else concat_cols(outputs)
-    return matmul(stacked, w_o)
+    return matmul(concat_cols(outputs), w_o)

@@ -27,8 +27,6 @@ __all__ = [
     "GraphFormatError",
     "load_node_dataset",
     "load_kg_dataset",
-    "save_node_dataset",
-    "save_kg_dataset",
     "read_edge_file",
     "kg_queries",
     "kg_answer_index",
@@ -85,9 +83,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return int(self.src.shape[0])
-
-    def edge_list(self) -> list[tuple[int, int, int]]:
-        return [(int(s), int(r), int(d)) for s, r, d in zip(self.src, self.rel, self.dst)]
 
     def with_self_loops(self) -> "Graph":
         """Add a relation-0 self loop to every node with no incoming edge.
@@ -352,36 +347,6 @@ def load_node_dataset(directory: str) -> NodeDataset:
     return NodeDataset(graph, features, labels, split, num_classes)
 
 
-def save_node_dataset(ds: NodeDataset, directory: str) -> None:
-    """Write a node dataset back to its TSV directory (inverse of load).
-
-    ``edges.tsv`` holds undirected edges, so a graph edge without its
-    reverse raises before any file is written.
-    """
-    edges = ds.graph.edge_list()
-    one_way = set(edges) - {(d, r, s) for s, r, d in edges}
-    if one_way:
-        s, r, d = min(one_way)
-        raise GraphFormatError(f"edge ({s}, {r}, {d}) has no reverse ({d}, {r}, {s}); "
-                               "edges.tsv stores undirected edges")
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "features.tsv"), "w", encoding="utf-8") as fh:
-        for i, row in enumerate(ds.features):
-            fh.write(f"{i}\t{','.join(repr(float(v)) for v in row)}\n")
-    with open(os.path.join(directory, "edges.tsv"), "w", encoding="utf-8") as fh:
-        for s, r, d in edges:
-            if s <= d:  # both directions are present (checked above); emit one
-                fh.write(f"{s}\t{d}\t{r}\n")
-    with open(os.path.join(directory, "labels.tsv"), "w", encoding="utf-8") as fh:
-        for i, cls in enumerate(ds.labels):
-            if cls >= 0:
-                fh.write(f"{i}\t{int(cls)}\n")
-    with open(os.path.join(directory, "splits.tsv"), "w", encoding="utf-8") as fh:
-        for i, s in enumerate(ds.split):
-            if s != SPLIT_NONE:
-                fh.write(f"{i}\t{SPLIT_TOKENS[int(s)]}\n")
-
-
 # ---------------------------------------------------------------------------
 # knowledge graph I/O
 
@@ -424,11 +389,3 @@ def load_kg_dataset(directory: str) -> KgDataset:
     # ids follow insertion order, so each dict's keys are its names by id
     return KgDataset(graph, list(entity_ids), list(relation_ids), train, valid, test,
                      kg_answer_index(np.concatenate([train, valid, test]), n_rel))
-
-
-def save_kg_dataset(kg: KgDataset, directory: str) -> None:
-    os.makedirs(directory, exist_ok=True)
-    for name, triples in (("train", kg.train), ("valid", kg.valid), ("test", kg.test)):
-        with open(os.path.join(directory, f"{name}.txt"), "w", encoding="utf-8") as fh:
-            for h, r, t in triples:
-                fh.write(f"{kg.entity_names[h]}\t{kg.relation_names[r]}\t{kg.entity_names[t]}\n")

@@ -25,6 +25,18 @@ __all__ = ["NetworkConfig", "MagnaBlockParams", "MagnaNet", "ABLATION_FLAGS"]
 ABLATION_FLAGS = ("no_diffusion", "no_layernorm", "no_feedforward")
 
 
+def check_integer_fields(cfg, names, optional=()) -> None:
+    """Raise ``ValueError`` naming the first of ``names`` and ``optional``
+    whose value on ``cfg`` is not an int; a bool is not one, and an
+    ``optional`` field may also be None."""
+    for name in (*names, *optional):
+        value = getattr(cfg, name)
+        if value is None and name in optional:
+            continue
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Architecture hyperparameters; defaults follow the full-size setup
@@ -44,6 +56,8 @@ class NetworkConfig:
     no_feedforward: bool = False
 
     def __post_init__(self):
+        check_integer_fields(self, ("blocks", "dim", "heads", "hops", "relation_dim"),
+                             optional=("ffn_dim",))
         if self.blocks < 1:
             raise ValueError("need at least one block")
         if self.dim < 1 or self.heads < 1 or self.relation_dim < 1:
@@ -135,9 +149,7 @@ class MagnaNet:
                       capture: dict | None = None) -> Tensor:
         cfg = self.cfg
         bp = self.blocks[index]
-        x = h_in
-        if training and cfg.dropout_feature > 0.0:
-            x = dropout(x, cfg.dropout_feature, rng, training)
+        x = dropout(h_in, cfg.dropout_feature, rng, training)
         hops, alpha = (1, 0.0) if cfg.no_diffusion else (cfg.hops, cfg.alpha)
         mixed = multi_head_diffusion(
             x,
@@ -159,8 +171,7 @@ class MagnaNet:
             return elu(h_hat)
         ffn_in = h_hat if cfg.no_layernorm else layer_norm(h_hat, bp.ln2[0], bp.ln2[1])
         hidden = relu(add(matmul(ffn_in, bp.ffn_w1), bp.ffn_b1))
-        if training and cfg.dropout_feature > 0.0:
-            hidden = dropout(hidden, cfg.dropout_feature, rng, training)
+        hidden = dropout(hidden, cfg.dropout_feature, rng, training)
         return add(add(matmul(hidden, bp.ffn_w2), bp.ffn_b2), h_hat)
 
     def forward(self, x: Tensor, *, training: bool = False,

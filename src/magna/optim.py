@@ -51,12 +51,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def items(self):
         return self._params.items()
 
@@ -135,6 +129,8 @@ def save_checkpoint(path: str, store: ParamStore, config: dict | None = None) ->
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")

@@ -94,7 +94,6 @@ def _run_trial(args):
         "best_epoch": report.best_epoch,
         "val_metric": report.best_val,
         "test_metric": report.test_metric,
-        "epochs_run": len(report.train_loss),
     }
 
 

@@ -123,9 +123,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable ``requires_grad`` leaf.
 

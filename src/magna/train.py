@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .graph import SPLIT_TEST, SPLIT_TRAIN, SPLIT_VAL, KgDataset, NodeDataset, kg_answer_index
-from .model import MagnaNet, NetworkConfig
+from .model import MagnaNet, NetworkConfig, check_integer_fields
 from .optim import Adam, ParamStore
 from .tape import Tensor, distmult_scores, no_grad
 from .tasks import (
@@ -54,6 +54,7 @@ class TrainConfig:
     label_smoothing: float = 0.1    # KG loss only
 
     def __post_init__(self):
+        check_integer_fields(self, ("window", "seed", "batch_size"), optional=("epochs",))
         if self.window < 1:
             raise ValueError("early-stop window must be >= 1")
         if self.epochs is not None and self.epochs < 1:

@@ -6,12 +6,13 @@ and for end-to-end training graphs; it only ever evaluates forward passes.
 """
 
 import json
+import os
 import tracemalloc
 
 import numpy as np
 
 from magna.attention import ORACLE_MAX_NODES
-from magna.graph import Graph, kg_queries
+from magna.graph import SPLIT_NONE, SPLIT_TOKENS, Graph, GraphFormatError, kg_queries
 from magna.tape import Tensor
 from magna.tasks import _rank_rows
 
@@ -54,7 +55,7 @@ def check_grad(build_loss, params: dict, rtol: float = FD_RTOL) -> None:
     ``params`` maps names to Tensors whose ``data`` the loss closes over.
     """
     for p in params.values():
-        p.zero_grad()
+        p.grad = None
     loss = build_loss()
     loss.backward()
     for name, p in params.items():
@@ -224,6 +225,54 @@ def random_attention(rng: np.random.Generator, graph: Graph) -> np.ndarray:
     return _segment_softmax(rng.normal(size=(graph.num_edges, 1)), graph.in_indptr)
 
 
+def edge_list(graph: Graph) -> list[tuple[int, int, int]]:
+    """The graph's (src, rel, dst) edges as Python ints, in stored order."""
+    return [(int(s), int(r), int(d)) for s, r, d in zip(graph.src, graph.rel, graph.dst)]
+
+
+# ---------------------------------------------------------------------------
+# dataset writers, the inverses of the loaders in ``magna.graph``
+
+
+def save_node_dataset(ds, directory: str) -> None:
+    """Write a node dataset back to its TSV directory (inverse of load).
+
+    ``edges.tsv`` holds undirected edges, so a graph edge without its
+    reverse raises before any file is written.
+    """
+    edges = edge_list(ds.graph)
+    one_way = set(edges) - {(d, r, s) for s, r, d in edges}
+    if one_way:
+        s, r, d = min(one_way)
+        raise GraphFormatError(f"edge ({s}, {r}, {d}) has no reverse ({d}, {r}, {s}); "
+                               "edges.tsv stores undirected edges")
+    os.makedirs(directory, exist_ok=True)
+    with open(os.path.join(directory, "features.tsv"), "w", encoding="utf-8") as fh:
+        for i, row in enumerate(ds.features):
+            fh.write(f"{i}\t{','.join(repr(float(v)) for v in row)}\n")
+    with open(os.path.join(directory, "edges.tsv"), "w", encoding="utf-8") as fh:
+        for s, r, d in edges:
+            if s <= d:  # both directions are present (checked above); emit one
+                fh.write(f"{s}\t{d}\t{r}\n")
+    with open(os.path.join(directory, "labels.tsv"), "w", encoding="utf-8") as fh:
+        for i, cls in enumerate(ds.labels):
+            if cls >= 0:
+                fh.write(f"{i}\t{int(cls)}\n")
+    with open(os.path.join(directory, "splits.tsv"), "w", encoding="utf-8") as fh:
+        for i, s in enumerate(ds.split):
+            if s != SPLIT_NONE:
+                fh.write(f"{i}\t{SPLIT_TOKENS[int(s)]}\n")
+
+
+def save_kg_dataset(kg, directory: str) -> None:
+    """Write a KG back to its train/valid/test triple files (inverse of load)."""
+    os.makedirs(directory, exist_ok=True)
+    for name, triples in (("train", kg.train), ("valid", kg.valid), ("test", kg.test)):
+        with open(os.path.join(directory, f"{name}.txt"), "w", encoding="utf-8") as fh:
+            for h, r, t in triples:
+                fh.write(f"{kg.entity_names[h]}\t{kg.relation_names[r]}\t{kg.entity_names[t]}\n")
+
+
 # ---------------------------------------------------------------------------
 # chains of one-line ops, the references that the fused tape ops are pinned
 # against bit for bit. The ops they need beyond the tape's own are written
@@ -380,8 +429,6 @@ def compositional_kg(tmp_dir: str, groups: int = 12, bridges: int = 2,
     whose implied triples land in valid/test. Ranking them correctly
     requires propagating entity identity across two hops.
     """
-    import os
-
     from magna.graph import load_kg_dataset
 
     os.makedirs(tmp_dir, exist_ok=True)

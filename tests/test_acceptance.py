@@ -31,11 +31,13 @@ from helpers import (
     check_grad,
     compositional_kg,
     dense_attention,
+    edge_list,
     known_set,
     proj_loss,
     random_attention,
     random_graph,
     read_bytes,
+    save_node_dataset,
     separable_node_dataset,
 )
 
@@ -146,7 +148,7 @@ def test_criterion_3_spectral_map(rng):
         for n in (20, 60, 100):
             graph = random_graph(rng, n, extra_edges=n)
             adj = np.zeros((n, n))
-            for s, _, d in graph.edge_list():
+            for s, _, d in edge_list(graph):
                 adj[s, d] = 1.0
                 adj[d, s] = 1.0
             for alpha in (0.1, 0.3):
@@ -366,8 +368,6 @@ def test_criterion_9_discrepancy_diagnostic(cora_runs):
 
 def test_criterion_10_determinism(tmp_path):
     with criterion(10, "identical config and seed produce byte-identical metrics files"):
-        from magna.graph import save_node_dataset
-
         data_dir = str(tmp_path / "data")
         save_node_dataset(separable_node_dataset(seed=0, per_class=8), data_dir)
         cfg_file = str(tmp_path / "cfg.json")

@@ -17,7 +17,7 @@ from magna.model import MagnaNet, NetworkConfig
 from magna.optim import ParamStore
 from magna.tape import Tensor
 
-from helpers import path_graph, random_graph
+from helpers import edge_list, path_graph, random_graph
 
 PATH_ADJ = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
@@ -25,7 +25,7 @@ PATH_ADJ = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 def undirected_adjacency(rng, n, extra=10):
     g = random_graph(rng, n, extra_edges=extra)
     adj = np.zeros((n, n))
-    for s, _, d in g.edge_list():
+    for s, _, d in edge_list(g):
         adj[s, d] = 1.0
         adj[d, s] = 1.0
     return adj
@@ -155,14 +155,6 @@ def test_two_neighbor_all_or_nothing_value():
     report = discrepancy_from_attention(att, g)
     assert report.per_node[0] == pytest.approx(np.sqrt(0.5) / 2.0, abs=1e-12)
     assert report.per_node[0] == pytest.approx(0.3536, abs=1e-4)
-
-
-def test_histogram_counts_every_node(rng):
-    g = random_graph(rng, 15, extra_edges=10)
-    att = rng.uniform(0.01, 1.0, size=g.num_edges)
-    report = discrepancy_from_attention(att, g)
-    assert report.bin_counts.sum() == g.num_nodes
-    assert report.per_node.shape == (15,)
 
 
 def test_network_level_discrepancy(rng):

@@ -1,0 +1,102 @@
+"""The package names that the benchmark in ``perfbench/`` wraps or calls
+must exist.
+
+``perfbench/tracing.py`` looks its layer spans and loss ops up by name, and
+``perfbench/workloads.py`` calls the package through ``magna.<name>``
+attributes and imports. A deleted or renamed name would otherwise fail only
+the traced benchmark runs. These tests read the benchmark's files and
+change nothing in them.
+"""
+
+import ast
+import importlib
+import importlib.util
+import os
+
+import pytest
+
+import magna
+import magna.tape
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+
+
+def _tracing_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  os.path.join(PERFBENCH, "tracing.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _dotted(node) -> str | None:
+    """``magna.a.b`` for an attribute chain rooted at the name ``magna``."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id == "magna":
+        return ".".join(["magna", *reversed(parts)])
+    return None
+
+
+def _magna_references(path: str) -> list[str]:
+    """Every ``magna.<name>...`` attribute chain, ``from magna... import
+    name`` and ``patched(magna..., "attr", ...)`` in the file, as dotted
+    paths."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "magna":
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Attribute) and _dotted(node):
+            found.add(_dotted(node))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "patched" and _dotted(node.args[0])):
+            found.add(f"{_dotted(node.args[0])}.{node.args[1].value}")
+    return sorted(found)
+
+
+def _resolve(dotted: str):
+    """Import the longest module prefix of ``dotted`` and fetch the rest as
+    attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(dotted)
+
+
+TRACING = _tracing_module()
+
+
+@pytest.mark.parametrize("module, path", [(m, p) for m, p, _ in TRACING.LAYER_SPANS],
+                         ids=[f"{m}.{p}" for m, p, _ in TRACING.LAYER_SPANS])
+def test_traced_layer_names_exist(module, path):
+    owner = importlib.import_module(module)
+    if "." in path:  # the tracer replaces methods in the class's own namespace
+        cls_name, attr = path.split(".")
+        assert attr in vars(getattr(owner, cls_name)), f"{module}.{path} is not defined"
+    else:
+        assert callable(getattr(owner, path)), f"{module}.{path} is not callable"
+
+
+def test_traced_ops_exist():
+    for name in TRACING.TASK_OPS:
+        assert callable(getattr(magna.tasks, name)), f"magna.tasks.{name} is not callable"
+    for name in magna.tape.__all__:
+        assert hasattr(magna.tape, name), f"magna.tape.__all__ names a missing {name}"
+
+
+def test_workload_references_resolve():
+    refs = _magna_references(os.path.join(PERFBENCH, "workloads.py"))
+    # the scan sees calls, imports and patched methods
+    assert {"magna.load_node_dataset", "magna.train.TrainConfig", "magna.tape.Tensor.backward"} <= set(refs)
+    for dotted in refs:
+        _resolve(dotted)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from magna.cli import main
-from magna.graph import NodeDataset, load_kg_dataset, load_node_dataset, save_node_dataset
+from magna.graph import NodeDataset, load_kg_dataset, load_node_dataset
 
-from helpers import compositional_kg, read_bytes, read_json, separable_node_dataset
+from helpers import compositional_kg, read_bytes, read_json, save_node_dataset, separable_node_dataset
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +210,18 @@ def test_search_rejects_bad_space(node_dir, tmp_path, capsys):
     assert "unknown search parameter" in capsys.readouterr().err
 
 
+def test_search_range_over_integer_field_fails_with_message(node_dir, tiny_config, tmp_path, capsys):
+    """A range samples floats; an integer field such as ``hops`` takes a choice."""
+    space_file = str(tmp_path / "space.json")
+    with open(space_file, "w") as fh:
+        json.dump({"hops": {"kind": "range", "low": 2, "high": 4}}, fh)
+    rc = main(["search", "--data", node_dir, "--config", tiny_config, "--space", space_file,
+               "--trials", "1", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: hops must be an integer, got ") and "Traceback" not in err
+
+
 def test_ablate_labels_gat_equivalent(node_dir, tiny_config, tmp_path):
     out = str(tmp_path / "ablation")
     rc = main(["ablate", "--data", node_dir, "--config", tiny_config, "--out", out,
@@ -372,9 +384,17 @@ def _not_json(payload):
     return "{"  # the whole file
 
 
+def _not_an_object(payload):
+    return "[]"  # the whole file
+
+
+def _mistype_entity_dim(payload):
+    payload["config"]["entity_dim"] = "x"
+
+
 @pytest.mark.parametrize("corrupt", [_drop_params, _drop_network, _drop_one_param, _reshape_one_param,
                                      _mistype_network_value, _bad_network_value, _future_version,
-                                     _not_json])
+                                     _not_json, _not_an_object, _mistype_entity_dim])
 @pytest.mark.parametrize("command", [["eval-kg"], ["analyze", "discrepancy", "--layer", "0", "--head", "0"]],
                          ids=["eval-kg", "discrepancy"])
 def test_malformed_checkpoint_fails_with_message(kg_dir, kg_checkpoint, tmp_path, capsys,

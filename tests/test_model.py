@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +10,7 @@ from magna.model import MagnaNet, NetworkConfig
 from magna.optim import ParamStore
 from magna.tape import Tensor, add, concat_cols, edge_spmm, elu, matmul
 
-from helpers import check_grad, count_ops, dense_attention, ops_named, proj_loss, random_graph
+from helpers import check_grad, count_ops, dense_attention, edge_list, ops_named, proj_loss, random_graph
 
 
 def small_cfg(**over):
@@ -38,6 +40,13 @@ def test_config_validation():
         NetworkConfig.from_dict({"blociks": 3})
     with pytest.raises(ValueError):
         NetworkConfig().with_flags(["no_everything"])
+
+
+@pytest.mark.parametrize("value", [2.0, True, "2"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("name", ["blocks", "dim", "heads", "hops", "relation_dim", "ffn_dim"])
+def test_integer_fields_reject_other_types(name, value):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        NetworkConfig(**{name: value})
 
 
 def test_ffn_width_defaults_to_dim():
@@ -122,7 +131,7 @@ def test_permutation_equivariance(rng):
     out = net.forward(Tensor(x)).data
 
     perm = rng.permutation(n)  # perm[old] = new
-    edges_p = [(int(perm[s]), int(r), int(perm[d])) for s, r, d in g.edge_list()]
+    edges_p = [(int(perm[s]), int(r), int(perm[d])) for s, r, d in edge_list(g)]
     g_p = Graph(n, g.num_relations, edges_p)
     x_p = np.empty_like(x)
     x_p[perm] = x

@@ -204,8 +204,14 @@ def test_non_finite_forward_raises():
 
 
 def test_dropout_eval_mode_is_identity():
+    """Dropout that is off, in evaluation mode or at rate 0, returns its
+    input and draws nothing, so its callers need no gate of their own."""
     x = Tensor(np.arange(6.0).reshape(2, 3))
-    assert tape.dropout(x, 0.5, np.random.default_rng(0), training=False) is x
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for training, p in ((False, 0.5), (True, 0.0)):
+        assert tape.dropout(x, p, rng, training=training) is x
+        assert rng.bit_generator.state == state
 
 
 def test_dropout_scales_kept_entries():

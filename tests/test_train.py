@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,13 @@ def reports_equal_modulo_wall(a, b) -> bool:
     da.pop("wall_seconds")
     db.pop("wall_seconds")
     return da == db
+
+
+@pytest.mark.parametrize("value", [2.0, True, "2"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("name", ["epochs", "window", "batch_size", "seed"])
+def test_integer_fields_reject_other_types(name, value):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        TrainConfig(**{name: value})
 
 
 # ---------------------------------------------------------------------------
