@@ -22,7 +22,7 @@ from .analysis import attention_discrepancy, spectrum_report
 from .graph import GraphFormatError, load_kg_dataset, load_node_dataset, read_edge_file
 from .model import ABLATION_FLAGS, NetworkConfig
 from .optim import load_checkpoint, save_checkpoint
-from .search import random_search, validate_space
+from .search import run_trials, sample_trials
 from .tape import no_grad
 from .tasks import kg_filtered_ranks, ranking_metrics
 from .train import (
@@ -202,13 +202,13 @@ def cmd_search(args) -> int:
     task = args.task or _sniff_task(args.data)
     net_cfg, train_cfg = _resolved_configs(args.config, task)
     space = _load_json(args.space, "search space")
-    validate_space(space)
+    # every trial config is checked before any file is written
+    trials = sample_trials(net_cfg, train_cfg, space, args.trials, args.seed)
     dataset, load_seconds = _timed_load(_LOADERS[task], args.data)
     out = _write_resolved_config(args.out, f"search-{task}", args.seed,
                                  {"data": args.data, "space": space, "trials": args.trials,
                                   "jobs": args.jobs}, net_cfg, train_cfg)
-    rows = random_search(task, dataset, net_cfg, train_cfg, space,
-                         trials=args.trials, seed=args.seed, jobs=args.jobs)
+    rows = run_trials(task, dataset, trials, jobs=args.jobs)
     names = sorted(space)
     _write_csv(os.path.join(out, "trials.csv"), f"seed={args.seed}",
                ["rank", "trial", "val_metric", "test_metric", "best_epoch", "trial_seed"] + names,

@@ -5,10 +5,10 @@ A space is a JSON object mapping parameter names to one of:
   {"kind": "range",  "low": a, "high": b, "scale": "linear" | "log"}
   {"kind": "choice", "values": [...]}
 Names must be NetworkConfig or TrainConfig fields. Every trial's config is
-sampled up front from the run seed and all trials train with the same base
-seed, so an all-Fixed space yields identical trials and the ranked table is
-reproducible and independent of execution order; ``jobs`` only parallelizes
-the training runs.
+sampled and checked up front from the run seed (``sample_trials``) and all
+trials train with the same base seed (``run_trials``), so an all-Fixed space
+yields identical trials and the ranked table is reproducible and independent
+of execution order; ``jobs`` only parallelizes the training runs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .model import NetworkConfig
 from .train import TrainConfig, train_kg, train_node_classifier
 
-__all__ = ["validate_space", "sample_space", "random_search"]
+__all__ = ["validate_space", "sample_space", "sample_trials", "run_trials"]
 
 _KINDS = ("fixed", "range", "choice")
 _NET_FIELDS = set(NetworkConfig.__dataclass_fields__)
@@ -97,24 +97,29 @@ def _run_trial(args):
     }
 
 
-def random_search(task: str, dataset, base_net: NetworkConfig, base_train: TrainConfig,
-                  space: dict, trials: int, seed: int, jobs: int = 1) -> list[dict]:
-    """Run independent trials and return rows sorted by validation metric
-    (descending; trial index breaks ties)."""
-    if task not in ("node", "kg"):
-        raise ValueError(f"task must be node or kg, got {task!r}")
+def sample_trials(base_net: NetworkConfig, base_train: TrainConfig, space: dict,
+                  trials: int, seed: int) -> list[tuple[dict, NetworkConfig, TrainConfig]]:
+    """Every trial's sampled parameters and configs, drawn up front from
+    ``seed``; a value a config rejects raises here, before any training."""
     if trials < 1:
         raise ValueError("need at least one trial")
     validate_space(space)
-
     sample_rng = np.random.default_rng(np.random.SeedSequence(seed))
-    jobs_args = []
-    for i in range(trials):
+    out = []
+    for _ in range(trials):
         sampled = sample_space(space, sample_rng)
         net_cfg, train_cfg = _apply(sampled, base_net, base_train)
-        train_cfg = replace(train_cfg, seed=seed)
-        jobs_args.append((task, dataset, net_cfg, train_cfg, i, sampled))
+        out.append((sampled, net_cfg, replace(train_cfg, seed=seed)))
+    return out
 
+
+def run_trials(task: str, dataset, trials: list, jobs: int = 1) -> list[dict]:
+    """Train every ``sample_trials`` entry and return rows sorted by
+    validation metric (descending; trial index breaks ties)."""
+    if task not in ("node", "kg"):
+        raise ValueError(f"task must be node or kg, got {task!r}")
+    jobs_args = [(task, dataset, net_cfg, train_cfg, i, sampled)
+                 for i, (sampled, net_cfg, train_cfg) in enumerate(trials)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_trial, jobs_args))

@@ -67,11 +67,11 @@ class DistMultDecoder:
         return cls(relations=store.glorot("decoder.relations", (num_relations, dim), rng))
 
 
-def _log_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _log_softmax(z: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise log-softmax and softmax of ``z``, each built in place in one
-    buffer from the shifted rows."""
+    buffer from the shifted rows; the softmax goes into ``out`` if given."""
     logp = z - z.max(axis=1, keepdims=True)
-    p = np.exp(logp)
+    p = np.exp(logp, out=out)
     s = p.sum(axis=1, keepdims=True)
     p /= s
     logp -= np.log(s)
@@ -117,23 +117,43 @@ def smoothed_targets(tail_sets, num_entities: int, eps: float) -> np.ndarray:
     return targets
 
 
+# Bytes of logits per row block of ``kl_label_smoothing_loss`` (at least one
+# row): 8 rows at 4,094 entities, one row at WN18RR's 40,943. On a 2-core
+# Xeon (2 MB L2 per core), a 256 x 4,094 forward took 13 ms at 128-512 KB,
+# 17 ms at 4 MB and 21 ms unblocked; 256 x 40,943 took 120 ms at one row
+# and 248 ms unblocked. The block's scratch is about twice this budget.
+_KL_BLOCK_BYTES = 2**18
+
+
 def kl_label_smoothing_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean KL(target || softmax(logits)) per row; zero iff they coincide.
 
-    Rows are as wide as the entity count, so the per-entry terms are built
-    in one buffer, in place; only the softmax outlives the call. The adjoint
-    overwrites it with the gradient and hands it to ``logits`` without a
-    copy. ``targets`` is only read.
+    Rows are as wide as the entity count, so only the softmax is allocated
+    at full batch x entities size. The log-softmax, the per-entry terms and
+    the ``targets > 0`` mask are built for one block of rows at a time, of
+    at most ``_KL_BLOCK_BYTES`` (at least one row), and each row's sum is
+    kept; every step is elementwise or reduces one row, so the blocks do
+    not change the bits. The adjoint overwrites the softmax with the
+    gradient and hands it to ``logits`` without a copy. ``targets`` is only
+    read.
     """
     if logits.data.shape != targets.shape:
         raise ValueError(f"shape mismatch: logits {logits.data.shape} vs targets {targets.shape}")
-    logp, p = _log_softmax(logits.data)
-    # terms = t log t - t logp, with t log t = 0 where t = 0
-    terms = np.log(targets, out=np.zeros_like(targets), where=targets > 0)
-    terms *= targets
-    logp *= targets
-    terms -= logp
-    loss_val = float(terms.sum(axis=1).mean())
+    z = logits.data
+    p = np.empty_like(z)
+    row_sums = np.empty(z.shape[0])
+    block = max(1, _KL_BLOCK_BYTES // (z.itemsize * z.shape[1]))
+    for lo in range(0, z.shape[0], block):
+        rows = slice(lo, lo + block)
+        t = targets[rows]
+        logp, _ = _log_softmax(z[rows], out=p[rows])
+        # terms = t log t - t logp, with t log t = 0 where t = 0
+        terms = np.log(t, out=np.zeros_like(t), where=t > 0)
+        terms *= t
+        logp *= t
+        terms -= logp
+        np.sum(terms, axis=1, out=row_sums[rows])
+    loss_val = float(row_sums.mean())
 
     def backward(g):
         np.subtract(p, targets, out=p)

@@ -6,6 +6,11 @@ must exist.
 attributes and imports. A deleted or renamed name would otherwise fail only
 the traced benchmark runs. These tests read the benchmark's files and
 change nothing in them.
+
+The traced ``kg_train`` run also needs ``train_kg`` to build its first
+batch's targets before the first training forward, since the tracer counts
+every span before that forward as set-up, and to call the KL loss on them
+once per step.
 """
 
 import ast
@@ -17,6 +22,10 @@ import pytest
 
 import magna
 import magna.tape
+import magna.train
+from magna.model import MagnaNet, NetworkConfig
+
+from helpers import compositional_kg
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
@@ -100,3 +109,32 @@ def test_workload_references_resolve():
     assert {"magna.load_node_dataset", "magna.train.TrainConfig", "magna.tape.Tensor.backward"} <= set(refs)
     for dotted in refs:
         _resolve(dotted)
+
+
+def test_kg_train_builds_targets_before_the_forward_and_takes_one_loss_per_step(tmp_path, monkeypatch):
+    kg = compositional_kg(str(tmp_path))
+    events = []
+
+    def spy(name, fn, record=lambda *args, **kwargs: None):
+        def wrapped(*args, **kwargs):
+            events.append((name, record(*args, **kwargs)))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(magna.train, "smoothed_targets", spy("targets", magna.train.smoothed_targets))
+    monkeypatch.setattr(magna.train, "kl_label_smoothing_loss",
+                        spy("loss", magna.train.kl_label_smoothing_loss,
+                            lambda logits, targets: targets.size))
+    monkeypatch.setattr(MagnaNet, "forward",
+                        spy("forward", MagnaNet.forward,
+                            lambda self, x, training=False, rng=None: training))
+    net = NetworkConfig(blocks=1, dim=8, heads=1, hops=2, relation_dim=4)
+    # one epoch of one step: every training query fits in the batch
+    magna.train.train_kg(kg, net, magna.train.TrainConfig(epochs=1, batch_size=10**6), entity_dim=8)
+
+    training_forwards = [i for i, event in enumerate(events) if event == ("forward", True)]
+    losses = [size for name, size in events if name == "loss"]
+    assert len(training_forwards) == 1
+    assert events.index(("targets", None)) < training_forwards[0]
+    assert len(losses) == len(training_forwards)
+    assert all(size > 0 for size in losses)

@@ -222,6 +222,18 @@ def test_search_range_over_integer_field_fails_with_message(node_dir, tiny_confi
     assert err.startswith("error: hops must be an integer, got ") and "Traceback" not in err
 
 
+def test_search_space_that_a_config_rejects_writes_no_file(node_dir, tiny_config, tmp_path, capsys):
+    space_file = str(tmp_path / "space.json")
+    with open(space_file, "w") as fh:
+        json.dump({"hops": {"kind": "range", "low": 2, "high": 4}}, fh)
+    out = str(tmp_path / "o")
+    rc = main(["search", "--data", node_dir, "--config", tiny_config, "--space", space_file,
+               "--trials", "3", "--out", out])
+    assert rc == 1
+    assert "hops must be an integer" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_ablate_labels_gat_equivalent(node_dir, tiny_config, tmp_path):
     out = str(tmp_path / "ablation")
     rc = main(["ablate", "--data", node_dir, "--config", tiny_config, "--out", out,

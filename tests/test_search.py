@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from magna.model import NetworkConfig
-from magna.search import random_search, sample_space, validate_space
+from magna.search import run_trials, sample_space, sample_trials, validate_space
 from magna.train import TrainConfig
 
 from helpers import compositional_kg, separable_node_dataset
@@ -64,7 +64,7 @@ def test_all_fixed_space_gives_identical_trials():
         "lr": {"kind": "fixed", "value": 0.02},
         "hops": {"kind": "fixed", "value": 2},
     }
-    rows = random_search("node", ds, NET, TRAIN, space, trials=3, seed=5)
+    rows = run_trials("node", ds, sample_trials(NET, TRAIN, space, 3, 5))
     assert len(rows) == 3
     assert len({r["val_metric"] for r in rows}) == 1
     assert len({r["test_metric"] for r in rows}) == 1
@@ -77,8 +77,8 @@ def test_search_sorted_and_reproducible():
         "lr": {"kind": "range", "low": 1e-3, "high": 5e-2, "scale": "log"},
         "hops": {"kind": "choice", "values": [1, 2, 3]},
     }
-    rows1 = random_search("node", ds, NET, TRAIN, space, trials=4, seed=11)
-    rows2 = random_search("node", ds, NET, TRAIN, space, trials=4, seed=11)
+    rows1 = run_trials("node", ds, sample_trials(NET, TRAIN, space, 4, 11))
+    rows2 = run_trials("node", ds, sample_trials(NET, TRAIN, space, 4, 11))
     vals = [r["val_metric"] for r in rows1]
     assert vals == sorted(vals, reverse=True)
     assert _outcomes(rows1) == _outcomes(rows2)
@@ -87,9 +87,9 @@ def test_search_sorted_and_reproducible():
 def test_search_validates_inputs():
     ds = separable_node_dataset(seed=0, per_class=6)
     with pytest.raises(ValueError):
-        random_search("node", ds, NET, TRAIN, {}, trials=0, seed=1)
+        run_trials("node", ds, sample_trials(NET, TRAIN, {}, 0, 1))
     with pytest.raises(ValueError):
-        random_search("graph", ds, NET, TRAIN, {}, trials=1, seed=1)
+        run_trials("graph", ds, sample_trials(NET, TRAIN, {}, 1, 1))
 
 
 def test_parallel_jobs_match_sequential():
@@ -98,8 +98,8 @@ def test_parallel_jobs_match_sequential():
         "lr": {"kind": "range", "low": 5e-3, "high": 5e-2, "scale": "log"},
         "hops": {"kind": "choice", "values": [1, 2]},
     }
-    seq = random_search("node", ds, NET, TRAIN, space, trials=3, seed=9, jobs=1)
-    par = random_search("node", ds, NET, TRAIN, space, trials=3, seed=9, jobs=2)
+    seq = run_trials("node", ds, sample_trials(NET, TRAIN, space, 3, 9), jobs=1)
+    par = run_trials("node", ds, sample_trials(NET, TRAIN, space, 3, 9), jobs=2)
     assert _outcomes(seq) == _outcomes(par)
 
 
@@ -109,6 +109,6 @@ def test_parallel_kg_jobs_match_sequential_after_ranking(tmp_path):
     kg = compositional_kg(str(tmp_path / "kg"))
     space = {"lr": {"kind": "choice", "values": [0.01, 0.02]}}
     train = replace(TRAIN, epochs=2, window=2)
-    seq = random_search("kg", kg, NET, train, space, trials=2, seed=9, jobs=1)
-    par = random_search("kg", kg, NET, train, space, trials=2, seed=9, jobs=2)
+    seq = run_trials("kg", kg, sample_trials(NET, train, space, 2, 9), jobs=1)
+    par = run_trials("kg", kg, sample_trials(NET, train, space, 2, 9), jobs=2)
     assert _outcomes(seq) == _outcomes(par)

@@ -194,28 +194,49 @@ def _kl_loss_with_fresh_arrays(logits: Tensor, targets: np.ndarray) -> Tensor:
     return Tensor.from_op(np.asarray(loss_val), (logits,), "kl_smoothed", backward)
 
 
+def _kl_row_blocks(shape) -> list[int]:
+    """Rows in each row block that ``kl_label_smoothing_loss`` takes at ``shape``."""
+    rows, cols = shape
+    block = max(1, tasks._KL_BLOCK_BYTES // (8 * cols))
+    return [min(block, rows - lo) for lo in range(0, rows, block)]
+
+
+# one block; kg_train's batch in whole blocks; one-row blocks; several
+# blocks ending on a short one
+KL_SHAPES = [(7, 50), (256, 4_094), (33, 20_000), (100, 4_094)]
+
+
+def test_kl_shapes_split_into_row_blocks():
+    blocks = [_kl_row_blocks(shape) for shape in KL_SHAPES]
+    assert len(blocks[0]) == 1
+    assert all(len(b) > 2 for b in blocks[1:])
+    assert any(b[-1] < b[0] for b in blocks)
+
+
 @pytest.mark.parametrize("eps", [0.1, 0.0])
 def test_kl_in_place_matches_fresh_array_formula_bitwise(rng, eps):
-    tails = [rng.choice(50, size=int(rng.integers(1, 4)), replace=False) for _ in range(7)]
-    targets = smoothed_targets(tails, 50, eps)
-    assert (targets == 0).any() == (eps == 0.0)  # eps = 0 leaves zeros for the log to skip
-    original = targets.copy()
-    logits_values = 3.0 * rng.normal(size=targets.shape)
-    results = []
-    for loss_fn in (kl_label_smoothing_loss, _kl_loss_with_fresh_arrays):
-        logits = Tensor(logits_values, requires_grad=True)
-        loss = loss_fn(logits, targets)
-        assert np.array_equal(targets, original)
-        # an upstream gradient other than one, so the adjoint's scaling shows
-        mul(loss, Tensor(np.asarray(0.7))).backward()
-        assert np.array_equal(targets, original)
-        results.append((loss.data, logits.grad))
-    for got, want in zip(*results):
-        assert np.array_equal(got, want)
+    for rows, cols in KL_SHAPES:
+        tails = [rng.choice(cols, size=int(rng.integers(1, 4)), replace=False) for _ in range(rows)]
+        targets = smoothed_targets(tails, cols, eps)
+        assert (targets == 0).any() == (eps == 0.0)  # eps = 0 leaves zeros for the log to skip
+        original = targets.copy()
+        logits_values = 3.0 * rng.normal(size=targets.shape)
+        results = []
+        for loss_fn in (kl_label_smoothing_loss, _kl_loss_with_fresh_arrays):
+            logits = Tensor(logits_values, requires_grad=True)
+            loss = loss_fn(logits, targets)
+            assert np.array_equal(targets, original)
+            # an upstream gradient other than one, so the adjoint's scaling shows
+            mul(loss, Tensor(np.asarray(0.7))).backward()
+            assert np.array_equal(targets, original)
+            results.append((loss.data, logits.grad))
+        for got, want in zip(*results):
+            assert np.array_equal(got, want), (rows, cols)
 
 
-def test_kl_loss_peak_memory_is_three_rows_of_buffers(rng):
+def test_kl_loss_peak_memory_is_one_buffer_plus_row_block_scratch(rng):
     targets = smoothed_targets([np.array([i, 3 * i]) for i in range(1, 9)], 20_000, 0.1)
+    assert len(_kl_row_blocks(targets.shape)) > 1
     logits_values = rng.normal(size=targets.shape)
 
     def forward_backward(loss_fn):
@@ -223,9 +244,10 @@ def test_kl_loss_peak_memory_is_three_rows_of_buffers(rng):
 
     in_place = peak_traced_bytes(lambda: forward_backward(kl_label_smoothing_loss))
     fresh = peak_traced_bytes(lambda: forward_backward(_kl_loss_with_fresh_arrays))
-    # log-softmax, softmax and terms, plus the one-byte `targets > 0` mask;
-    # the fresh-array formula holds six arrays of that size at its peak
-    assert in_place < 3.25 * targets.nbytes
+    # the softmax, which the adjoint turns into the gradient, plus one row
+    # block's log-softmax, terms and `targets > 0` mask; the fresh-array
+    # formula holds six arrays of the full size at its peak
+    assert in_place < 1.5 * targets.nbytes
     assert fresh > 5 * targets.nbytes
 
 
