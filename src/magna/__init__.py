@@ -12,7 +12,6 @@ from .attention import (
     attention_weights,
     edge_scores,
     exact_diffusion_oracle,
-    multi_head_diffusion,
 )
 from .graph import (
     Graph,

@@ -1,8 +1,9 @@
-"""Per-edge attention, row-stochastic weights, and multi-hop attention diffusion.
+"""One head's per-edge attention, row-stochastic weights, and multi-hop
+attention diffusion; ``MagnaNet.block_forward`` runs them once per head.
 
-The layer takes plain values: the teleport probability alpha and hop count
-K, which ``NetworkConfig`` validates, and the relation-embedding table, a
-(num_relations, d_r) ``Tensor``. The diffusion layer never materializes hop
+They take plain values: the teleport probability alpha and hop count K,
+which ``NetworkConfig`` validates, and the relation-embedding table, a
+(num_relations, d_r) ``Tensor``. The diffusion never materializes hop
 weights or dense matrices: the recursion Z <- (1-a) * A Z + a * Z0 realizes
 the geometric hop mixture implicitly, and after K steps Z approximates the
 personalized-PageRank aggregation a * (I - (1-a) A)^-1 H with max-norm error
@@ -18,16 +19,7 @@ import numpy as np
 
 from .linalg import SingularMatrixError, dense_solve
 from .optim import ParamStore
-from .tape import (
-    Tensor,
-    _attention_scores,
-    concat_cols,
-    dropout,
-    edge_attention,
-    edge_spmm,
-    layer_norm,
-    matmul,
-)
+from .tape import Tensor, _attention_scores, edge_attention, edge_spmm
 
 __all__ = [
     "LEAKY_SLOPE",
@@ -36,7 +28,6 @@ __all__ = [
     "attention_weights",
     "attention_diffusion",
     "exact_diffusion_oracle",
-    "multi_head_diffusion",
 ]
 
 LEAKY_SLOPE = 0.2
@@ -120,43 +111,3 @@ def exact_diffusion_oracle(a_dense: np.ndarray, alpha: float) -> np.ndarray:
         return dense_solve(system, alpha * np.eye(n))
     except SingularMatrixError as exc:  # unreachable for stochastic A; kept as a guard
         raise SingularMatrixError(f"diffusion system singular: {exc}") from exc
-
-
-def multi_head_diffusion(
-    h: Tensor,
-    graph,
-    heads,
-    relation_table: Tensor,
-    w_o: Tensor,
-    *,
-    hops: int,
-    alpha: float,
-    ln: tuple[Tensor, Tensor] | None = None,
-    attention_dropout: float = 0.0,
-    rng: np.random.Generator | None = None,
-    training: bool = False,
-    capture: dict | None = None,
-    capture_prefix: str = "",
-) -> Tensor:
-    """Normalize, run every head's attention diffusion, concatenate, mix.
-
-    Every head diffuses ``hops`` steps with teleport ``alpha``; ``hops=1,
-    alpha=0.0`` gives the one-hop product A H. Heads share the normalized
-    input but keep independent attention parameters. Attention dropout draws
-    one mask per head per forward pass; the dropped attention tensor is
-    reused across all diffusion hops, and rows are not re-normalized after
-    dropping.
-    """
-    heads = list(heads)
-    d = h.shape[1]
-    if w_o.shape != (len(heads) * d, d):
-        raise ValueError(f"w_o must have shape ({len(heads) * d}, {d}), got {w_o.shape}")
-    h_norm = layer_norm(h, ln[0], ln[1]) if ln is not None else h
-    outputs = []
-    for i, head in enumerate(heads):
-        att = attention_weights(h_norm, graph, head, relation_table)
-        if capture is not None:
-            capture[f"{capture_prefix}head{i}"] = att.data.reshape(-1).copy()
-        att = dropout(att, attention_dropout, rng, training)
-        outputs.append(attention_diffusion(att, h_norm, graph, hops, alpha))
-    return matmul(concat_cols(outputs), w_o)

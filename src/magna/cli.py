@@ -160,7 +160,7 @@ def cmd_train(args) -> int:
         shape = {"in_dim": data.features.shape[1], "num_classes": data.num_classes}
     else:
         report, model = train_kg(data, net_cfg, train_cfg)
-        shape = {"entity_dim": 100}
+        shape = {"entity_dim": model.features.shape[1]}
     _write_json(os.path.join(out, "metrics.json"), report.metrics_dict())
     _write_json(os.path.join(out, "train_report.json"),
                 {**report.to_dict(), "load_seconds": load_seconds})

@@ -1,6 +1,7 @@
 """Stacked residual blocks around multi-head attention diffusion.
 
-One block: Hhat = MultiHeadDiffusion(LN(H)) + H, then a feed-forward
+One block, ``MagnaNet.block_forward``: Hhat = [Z_1 || ... || Z_M] W_o + H,
+where head m's Z_m diffuses its attention over LN(H), then a feed-forward
 sub-layer W2 relu(W1 LN(Hhat) + b1) + b2 + Hhat. Every block shares one
 relation-embedding table, the ``relations`` parameter. Ablation switches
 strip the pieces individually: ``no_diffusion`` runs each head with K = 1,
@@ -15,10 +16,10 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .attention import AttentionHeadParams, multi_head_diffusion
+from .attention import AttentionHeadParams, attention_diffusion, attention_weights
 from .graph import Graph
 from .optim import ParamStore
-from .tape import Tensor, add, dropout, elu, layer_norm, matmul, no_grad, relu
+from .tape import Tensor, add, concat_cols, dropout, elu, layer_norm, matmul, no_grad, relu
 
 __all__ = ["NetworkConfig", "MagnaBlockParams", "MagnaNet", "ABLATION_FLAGS"]
 
@@ -146,44 +147,42 @@ class MagnaNet:
 
     def block_forward(self, index: int, h_in: Tensor, *, training: bool = False,
                       rng: np.random.Generator | None = None,
-                      capture: dict | None = None) -> Tensor:
+                      capture: list | None = None) -> Tensor:
+        """Block ``index``, as the module docstring writes it. Attention
+        dropout draws one mask per head per pass, which all K hops reuse,
+        and leaves rows unnormalized. ``capture``, if given, receives each
+        head's (E,) attention before dropout."""
         cfg = self.cfg
         bp = self.blocks[index]
         x = dropout(h_in, cfg.dropout_feature, rng, training)
+        h_norm = x if cfg.no_layernorm else layer_norm(x, *bp.ln1)
         hops, alpha = (1, 0.0) if cfg.no_diffusion else (cfg.hops, cfg.alpha)
-        mixed = multi_head_diffusion(
-            x,
-            self.graph,
-            bp.heads,
-            self.relations,
-            bp.w_o,
-            hops=hops,
-            alpha=alpha,
-            ln=None if cfg.no_layernorm else bp.ln1,
-            attention_dropout=cfg.dropout_attention,
-            rng=rng,
-            training=training,
-            capture=capture,
-            capture_prefix=f"block{index}.",
-        )
-        h_hat = add(mixed, x)
+        outputs = []
+        for head in bp.heads:
+            att = attention_weights(h_norm, self.graph, head, self.relations)
+            if capture is not None:
+                capture.append(att.data.reshape(-1).copy())
+            att = dropout(att, cfg.dropout_attention, rng, training)
+            outputs.append(attention_diffusion(att, h_norm, self.graph, hops, alpha))
+        h_hat = add(matmul(concat_cols(outputs), bp.w_o), x)
+        # without a tape nothing else holds the heads' outputs: free them before the FFN
+        del outputs, att, h_norm
         if cfg.no_feedforward:
             return elu(h_hat)
-        ffn_in = h_hat if cfg.no_layernorm else layer_norm(h_hat, bp.ln2[0], bp.ln2[1])
+        ffn_in = h_hat if cfg.no_layernorm else layer_norm(h_hat, *bp.ln2)
         hidden = relu(add(matmul(ffn_in, bp.ffn_w1), bp.ffn_b1))
         hidden = dropout(hidden, cfg.dropout_feature, rng, training)
         return add(add(matmul(hidden, bp.ffn_w2), bp.ffn_b2), h_hat)
 
     def forward(self, x: Tensor, *, training: bool = False,
-                rng: np.random.Generator | None = None,
-                capture: dict | None = None) -> Tensor:
+                rng: np.random.Generator | None = None) -> Tensor:
         if x.shape != (self.graph.num_nodes, self.in_dim):
             raise ValueError(
                 f"input must have shape ({self.graph.num_nodes}, {self.in_dim}), got {x.shape}"
             )
         h = add(matmul(x, self.proj_w), self.proj_b)
         for i in range(self.cfg.blocks):
-            h = self.block_forward(i, h, training=training, rng=rng, capture=capture)
+            h = self.block_forward(i, h, training=training, rng=rng)
         return h
 
     def one_hop_attention(self, x: Tensor, layer: int, head: int) -> np.ndarray:
@@ -192,9 +191,10 @@ class MagnaNet:
             raise IndexError(f"layer {layer} out of range (0..{self.cfg.blocks - 1})")
         if not 0 <= head < self.cfg.heads:
             raise IndexError(f"head {head} out of range (0..{self.cfg.heads - 1})")
-        capture: dict = {}
+        captured = []
         with no_grad():
             h = add(matmul(x, self.proj_w), self.proj_b)
-            for i in range(layer + 1):
-                h = self.block_forward(i, h, capture=capture)
-        return capture[f"block{layer}.head{head}"]
+            for i in range(layer):
+                h = self.block_forward(i, h)
+            self.block_forward(layer, h, capture=captured)
+        return captured[head]

@@ -8,12 +8,11 @@ from magna.attention import (
     attention_weights,
     edge_scores,
     exact_diffusion_oracle,
-    multi_head_diffusion,
 )
 from magna.graph import Graph
-from magna.model import NetworkConfig
+from magna.model import MagnaNet, NetworkConfig
 from magna.optim import ParamStore
-from magna.tape import Tensor, _segment_softmax, layer_norm
+from magna.tape import Tensor, _segment_softmax, add, elu, layer_norm
 
 from helpers import (
     check_grad,
@@ -257,58 +256,50 @@ def test_gradients_through_diffusion(rng):
 
 
 # ---------------------------------------------------------------------------
-# multi-head layer
+# multi-head layer, run through one MagnaNet block
+
+
+def one_block(graph, **cfg):
+    """A one-block network on ``graph`` and its block parameters; the block
+    is called directly, so the input projection goes unused."""
+    net = MagnaNet(NetworkConfig(blocks=1, **cfg), graph, 1, ParamStore(), np.random.default_rng(0))
+    return net, net.blocks[0]
 
 
 def test_single_head_identity_mix_returns_layer_norm(rng):
+    # at alpha = 1 each head returns LN(x); an identity mix leaves elu(LN(x) + x)
     g = random_graph(rng, 5, extra_edges=3)
     d = 3
-    store = ParamStore()
-    head = make_head(store, "h0", d, 2, rng)
-    rel = store.glorot("rel", (g.num_relations, 2), rng)
-    gamma, beta = Tensor(np.ones((1, d))), Tensor(np.zeros((1, d)))
-    h = Tensor(rng.normal(size=(5, d)))
-    out = multi_head_diffusion(
-        h, g, [head], rel, Tensor(np.eye(d)), hops=4, alpha=1.0, ln=(gamma, beta),
-    )
-    assert_allclose(out.data, layer_norm(h, gamma, beta).data, atol=1e-12)
+    net, bp = one_block(g, dim=d, heads=1, hops=4, alpha=1.0, relation_dim=2, no_feedforward=True)
+    bp.w_o.data[...] = np.eye(d)
+    x = Tensor(rng.normal(size=(5, d)))
+    out = net.block_forward(0, x)
+    assert_allclose(out.data, elu(add(layer_norm(x, *bp.ln1), x)).data, atol=1e-12)
 
 
 def test_duplicate_heads_with_halved_mix_match_single_head(rng):
     g = random_graph(rng, 6, extra_edges=5)
     d = 4
-    store = ParamStore()
-    head = make_head(store, "h0", d, 2, rng)
-    rel = store.glorot("rel", (g.num_relations, 2), rng)
-    h = Tensor(rng.normal(size=(6, d)))
-    single = multi_head_diffusion(h, g, [head], rel, Tensor(np.eye(d)), hops=3, alpha=0.3)
-    stacked = np.vstack([np.eye(d) / 2.0, np.eye(d) / 2.0])
-    double = multi_head_diffusion(h, g, [head, head], rel, Tensor(stacked), hops=3, alpha=0.3)
-    assert_allclose(double.data, single.data, atol=1e-15)
+    cfg = dict(dim=d, hops=3, alpha=0.3, relation_dim=2)
+    single, one = one_block(g, heads=1, **cfg)
+    double, two = one_block(g, heads=2, **cfg)
+    for name, p in single.store.items():  # every parameter but the mix
+        if p is not one.w_o:
+            double.store[name].data[...] = p.data
+    for field in ("w_h", "w_t", "w_r", "v_a"):
+        getattr(two.heads[1], field).data[...] = getattr(one.heads[0], field).data
+    one.w_o.data[...] = np.eye(d)
+    two.w_o.data[...] = np.vstack([np.eye(d) / 2.0, np.eye(d) / 2.0])
+    x = Tensor(rng.normal(size=(6, d)))
+    assert_allclose(double.block_forward(0, x).data, single.block_forward(0, x).data, atol=1e-15)
 
 
 def test_multi_head_output_shape_large(rng):
     g = random_graph(rng, 2708, extra_edges=3000)
-    d, heads_n = 64, 8
-    store = ParamStore()
-    heads = [make_head(store, f"h{i}", d, 8, rng) for i in range(heads_n)]
-    rel = store.glorot("rel", (g.num_relations, 8), rng)
-    w_o = store.glorot("w_o", (heads_n * d, d), rng)
-    gamma, beta = Tensor(np.ones((1, d))), Tensor(np.zeros((1, d)))
-    h = Tensor(rng.normal(size=(2708, d)))
-    out = multi_head_diffusion(h, g, heads, rel, w_o, hops=4, alpha=0.15, ln=(gamma, beta))
+    net, _ = one_block(g, dim=64, heads=8, hops=4, alpha=0.15, relation_dim=8)
+    out = net.block_forward(0, Tensor(rng.normal(size=(2708, 64))))
     assert out.data.shape == (2708, 64)
     assert np.all(np.isfinite(out.data))
-
-
-def test_wo_shape_mismatch_rejected(rng):
-    g = path_graph(3)
-    store = ParamStore()
-    head = make_head(store, "h0", 2, 1, rng)
-    rel = store.glorot("rel", (1, 1), rng)
-    with pytest.raises(ValueError, match="w_o"):
-        multi_head_diffusion(Tensor(rng.normal(size=(3, 2))), g, [head], rel,
-                             Tensor(np.eye(3)), hops=2, alpha=0.5)
 
 
 def test_edge_scores_match_literal_per_edge_formula(rng):

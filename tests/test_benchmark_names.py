@@ -7,6 +7,9 @@ attributes and imports. A deleted or renamed name would otherwise fail only
 the traced benchmark runs. These tests read the benchmark's files and
 change nothing in them.
 
+The tracer's ``attention.softmax`` and ``attention.diffusion`` spans catch
+the block's calls through the names ``magna.model`` imports, so the block
+must call ``attention_weights`` and ``attention_diffusion`` once per head.
 The traced ``kg_train`` run also needs ``train_kg`` to build its first
 batch's targets before the first training forward, since the tracer counts
 every span before that forward as set-up, and to call the KL loss on them
@@ -20,12 +23,17 @@ import os
 
 import pytest
 
+import numpy as np
+
 import magna
+import magna.model
 import magna.tape
 import magna.train
 from magna.model import MagnaNet, NetworkConfig
+from magna.optim import ParamStore
+from magna.tape import Tensor
 
-from helpers import compositional_kg
+from helpers import compositional_kg, random_graph
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
@@ -138,3 +146,25 @@ def test_kg_train_builds_targets_before_the_forward_and_takes_one_loss_per_step(
     assert events.index(("targets", None)) < training_forwards[0]
     assert len(losses) == len(training_forwards)
     assert all(size > 0 for size in losses)
+
+
+def test_block_calls_the_traced_attention_names_once_per_head(rng, monkeypatch):
+    calls = {"attention_weights": 0, "attention_diffusion": 0}
+
+    def counted(name):
+        fn = getattr(magna.model, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(magna.model, name, counted(name))
+    g = random_graph(rng, 7, extra_edges=5)
+    blocks, heads = 2, 3
+    cfg = NetworkConfig(blocks=blocks, dim=4, heads=heads, hops=2, relation_dim=3,
+                        dropout_attention=0.2, dropout_feature=0.2)
+    net = MagnaNet(cfg, g, 3, ParamStore(), np.random.default_rng(0))
+    net.forward(Tensor(rng.normal(size=(7, 3))), training=True, rng=np.random.default_rng(1))
+    assert calls == {"attention_weights": blocks * heads, "attention_diffusion": blocks * heads}
