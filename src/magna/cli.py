@@ -18,6 +18,11 @@ import time
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from .analysis import attention_discrepancy, spectrum_report
 from .graph import GraphFormatError, load_kg_dataset, load_node_dataset, read_edge_file
 from .model import ABLATION_FLAGS, NetworkConfig
@@ -117,6 +122,15 @@ def _timed_load(load, path: str):
     return dataset, time.monotonic() - start
 
 
+def _faults_and_peak_rss() -> tuple:
+    """This process's minor page faults so far and its peak RSS in MB, or
+    (None, None) where ``resource`` is missing."""
+    if resource is None:
+        return None, None
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_minflt, usage.ru_maxrss / (2 ** 20 if sys.platform == "darwin" else 1024)
+
+
 def _restore_model(data_dir: str, checkpoint: str, seed: int, task: str | None = None):
     """Read ``checkpoint`` once, rebuild its node or KG model on the dataset in
     ``data_dir`` and load the saved parameters. ``task``, if given, is the
@@ -155,15 +169,19 @@ def cmd_train(args) -> int:
     data, load_seconds = _timed_load(_LOADERS[args.task], args.data)
     out = _write_resolved_config(args.out, args.task, args.seed, {"data": args.data},
                                  net_cfg, train_cfg)
+    faults_before, _ = _faults_and_peak_rss()
     if args.task == "node":
         report, model = train_node_classifier(data, net_cfg, train_cfg)
         shape = {"in_dim": data.features.shape[1], "num_classes": data.num_classes}
     else:
         report, model = train_kg(data, net_cfg, train_cfg)
         shape = {"entity_dim": model.features.shape[1]}
+    faults_after, max_rss_mb = _faults_and_peak_rss()
     _write_json(os.path.join(out, "metrics.json"), report.metrics_dict())
     _write_json(os.path.join(out, "train_report.json"),
-                {**report.to_dict(), "load_seconds": load_seconds})
+                {**report.to_dict(), "load_seconds": load_seconds,
+                 "minor_faults": None if faults_before is None else faults_after - faults_before,
+                 "max_rss_mb": max_rss_mb})
     save_checkpoint(os.path.join(out, "checkpoint.json"), model.store,
                     {"task": args.task, "network": net_cfg.to_dict(), **shape})
     mrr = "_mrr" if args.task == "kg" else ""

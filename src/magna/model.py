@@ -146,12 +146,10 @@ class MagnaNet:
         ]
 
     def block_forward(self, index: int, h_in: Tensor, *, training: bool = False,
-                      rng: np.random.Generator | None = None,
-                      capture: list | None = None) -> Tensor:
+                      rng: np.random.Generator | None = None) -> Tensor:
         """Block ``index``, as the module docstring writes it. Attention
         dropout draws one mask per head per pass, which all K hops reuse,
-        and leaves rows unnormalized. ``capture``, if given, receives each
-        head's (E,) attention before dropout."""
+        and leaves rows unnormalized."""
         cfg = self.cfg
         bp = self.blocks[index]
         x = dropout(h_in, cfg.dropout_feature, rng, training)
@@ -160,8 +158,6 @@ class MagnaNet:
         outputs = []
         for head in bp.heads:
             att = attention_weights(h_norm, self.graph, head, self.relations)
-            if capture is not None:
-                capture.append(att.data.reshape(-1).copy())
             att = dropout(att, cfg.dropout_attention, rng, training)
             outputs.append(attention_diffusion(att, h_norm, self.graph, hops, alpha))
         h_hat = add(matmul(concat_cols(outputs), bp.w_o), x)
@@ -186,15 +182,19 @@ class MagnaNet:
         return h
 
     def one_hop_attention(self, x: Tensor, layer: int, head: int) -> np.ndarray:
-        """Per-edge attention of one head at one layer, evaluation mode."""
+        """Per-edge attention of one head at one layer, evaluation mode: the
+        (E,) weights that ``block_forward`` diffuses for that head. Feature
+        dropout is the identity here, so only the blocks below ``layer``
+        and that head's weights are computed."""
         if not 0 <= layer < self.cfg.blocks:
             raise IndexError(f"layer {layer} out of range (0..{self.cfg.blocks - 1})")
         if not 0 <= head < self.cfg.heads:
             raise IndexError(f"head {head} out of range (0..{self.cfg.heads - 1})")
-        captured = []
+        bp = self.blocks[layer]
         with no_grad():
             h = add(matmul(x, self.proj_w), self.proj_b)
             for i in range(layer):
                 h = self.block_forward(i, h)
-            self.block_forward(layer, h, capture=captured)
-        return captured[head]
+            h_norm = h if self.cfg.no_layernorm else layer_norm(h, *bp.ln1)
+            att = attention_weights(h_norm, self.graph, bp.heads[head], self.relations)
+        return att.data.reshape(-1)

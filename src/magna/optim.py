@@ -109,7 +109,14 @@ class Adam:
             m += (1.0 - self.BETA1) * g
             v *= self.BETA2
             v += (1.0 - self.BETA2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
+            # lr * (m / bc1) / (sqrt(v / bc2) + eps), in two buffers
+            step = m / bc1
+            step *= self.lr
+            denom = v / bc2
+            np.sqrt(denom, out=denom)
+            denom += self.EPS
+            step /= denom
+            p.data -= step
 
 
 def save_checkpoint(path: str, store: ParamStore, config: dict | None = None) -> None:

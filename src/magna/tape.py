@@ -193,9 +193,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(g @ b.data.T)
+            a.accumulate(g @ b.data.T, fresh=True)
         if b.requires_grad:
-            b.accumulate(a.data.T @ g)
+            b.accumulate(a.data.T @ g, fresh=True)
 
     return Tensor.from_op(out_data, (a, b), "matmul", backward)
 
@@ -236,7 +236,7 @@ def relu(a: Tensor) -> Tensor:
     out_data = np.where(pos, a.data, 0.0)
 
     def backward(g):
-        a.accumulate(g * pos)
+        a.accumulate(g * pos, fresh=True)
 
     return Tensor.from_op(out_data, (a,), "relu", backward)
 
@@ -247,7 +247,7 @@ def elu(a: Tensor) -> Tensor:
     out_data = np.where(pos, a.data, expm1)
 
     def backward(g):
-        a.accumulate(g * np.where(pos, 1.0, expm1 + 1.0))
+        a.accumulate(g * np.where(pos, 1.0, expm1 + 1.0), fresh=True)
 
     return Tensor.from_op(out_data, (a,), "elu", backward)
 
@@ -263,7 +263,7 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
     out_data = a.data * factor
 
     def backward(g):
-        a.accumulate(g * factor)
+        a.accumulate(g * factor, fresh=True)
 
     return Tensor.from_op(out_data, (a,), "dropout", backward)
 
@@ -281,14 +281,14 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     def backward(g):
         if gamma.requires_grad:
-            gamma.accumulate((g * xhat).sum(axis=0, keepdims=True))
+            gamma.accumulate((g * xhat).sum(axis=0, keepdims=True), fresh=True)
         if beta.requires_grad:
-            beta.accumulate(g.sum(axis=0, keepdims=True))
+            beta.accumulate(g.sum(axis=0, keepdims=True), fresh=True)
         if a.requires_grad:
             gg = g * gamma.data
             m1 = gg.mean(axis=1, keepdims=True)
             m2 = (gg * xhat).mean(axis=1, keepdims=True)
-            a.accumulate((gg - m1 - xhat * m2) * inv)
+            a.accumulate((gg - m1 - xhat * m2) * inv, fresh=True)
 
     return Tensor.from_op(out_data, (a, gamma, beta), "layer_norm", backward)
 

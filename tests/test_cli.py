@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from magna import cli
 from magna.cli import main
 from magna.graph import NodeDataset, load_kg_dataset, load_node_dataset
 
@@ -139,6 +140,23 @@ def test_train_node_is_byte_deterministic(node_dir, tiny_config, tmp_path):
     assert resolved["network"]["blocks"] == 1
     assert resolved["train"]["lr"] == 0.02
     assert resolved["seed"] == 7
+
+
+def test_train_report_records_minor_faults_and_peak_rss(node_dir, kg_dir, tiny_config, tmp_path,
+                                                       monkeypatch):
+    for task, data in (("node", node_dir), ("kg", kg_dir)):
+        out = str(tmp_path / task)
+        assert main([f"train-{task}", "--data", data, "--config", tiny_config, "--out", out]) == 0
+        report = read_json(os.path.join(out, "train_report.json"))
+        assert isinstance(report["minor_faults"], int) and report["minor_faults"] >= 0
+        assert report["max_rss_mb"] > 0
+    # without the resource module (Windows) both keys are null
+    monkeypatch.setattr(cli, "resource", None)
+    out = str(tmp_path / "no_resource")
+    assert main(["train-node", "--data", node_dir, "--config", tiny_config, "--out", out]) == 0
+    report = read_json(os.path.join(out, "train_report.json"))
+    assert report["minor_faults"] is None and report["max_rss_mb"] is None
+    assert_timing_only_in_report(out)
 
 
 def test_unknown_config_key_fails_with_message(node_dir, tmp_path, capsys):

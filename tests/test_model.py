@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from magna.attention import attention_weights
+from magna import model
+from magna.attention import attention_diffusion, attention_weights
 from magna.graph import Graph
 from magna.model import MagnaNet, NetworkConfig
 from magna.optim import ParamStore
-from magna.tape import Tensor, add, concat_cols, edge_spmm, elu, layer_norm, matmul, no_grad
+from magna.tape import Tensor, add, concat_cols, edge_spmm, elu, matmul, no_grad
 
 from helpers import (check_grad, count_ops, dense_attention, edge_list, ops_named, peak_traced_bytes,
                      proj_loss, random_graph)
@@ -149,23 +150,41 @@ def test_forward_rejects_wrong_shape(rng):
         net.forward(Tensor(rng.normal(size=(5, 3))))
 
 
-def test_one_hop_attention_capture(rng):
+def test_one_hop_attention_capture(rng, monkeypatch):
     g = random_graph(rng, 6, extra_edges=4)
     x = Tensor(rng.normal(size=(6, 3)))
+    diffused = []
+
+    def counted_diffusion(*args):
+        diffused.append(args)
+        return attention_diffusion(*args)
+
+    monkeypatch.setattr(model, "attention_diffusion", counted_diffusion)
     for no_layernorm in (False, True):
         net, _ = build_net(g, 3, small_cfg(no_layernorm=no_layernorm))
+        diffused.clear()
         att = net.one_hop_attention(x, 1, 1)
+        # only block 0 diffuses; block 1 stops at the head's weights
+        assert len(diffused) == net.cfg.heads
         assert att.shape == (g.num_edges,)
         for node in range(6):
             seg = att[g.in_indptr[node] : g.in_indptr[node + 1]]
             assert seg.sum() == pytest.approx(1.0, abs=1e-12)
-        # by hand: head 1's weights on block 1's LN1 input
+        # the weights an evaluation-mode block_forward computes for head 1
+        seen = []
+
+        def recorded_weights(*args):
+            out = attention_weights(*args)
+            seen.append(out.data.reshape(-1).copy())
+            return out
+
         with no_grad():
             h = net.block_forward(0, add(matmul(x, net.proj_w), net.proj_b))
-            bp = net.blocks[1]
-            h_norm = h if no_layernorm else layer_norm(h, *bp.ln1)
-            expected = attention_weights(h_norm, g, bp.heads[1], net.relations).data.reshape(-1)
-        assert np.array_equal(att, expected)
+            with monkeypatch.context() as m:
+                m.setattr(model, "attention_weights", recorded_weights)
+                net.block_forward(1, h)
+        assert len(seen) == net.cfg.heads
+        assert np.array_equal(att, seen[1])
     with pytest.raises(IndexError):
         net.one_hop_attention(x, 5, 0)
     with pytest.raises(IndexError):

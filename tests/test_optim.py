@@ -11,6 +11,8 @@ from magna.optim import (
 )
 from magna.tape import Tensor
 
+from helpers import peak_traced_bytes
+
 
 def scalar_store(value=0.0):
     store = ParamStore()
@@ -24,6 +26,26 @@ def test_zero_gradient_leaves_parameters_unchanged():
     store["p"].grad = np.zeros((1, 1))
     opt.step()
     assert_allclose(store["p"].data, [[0.7]])
+
+
+def test_step_is_the_adam_formula_in_two_buffers(rng):
+    n, d, lr, wd = 20_000, 16, 0.01, 0.1
+    store = ParamStore()
+    w = store.add("w", Tensor(rng.normal(size=(n, d)), requires_grad=True))
+    opt = Adam(store, lr=lr, weight_decay=wd)
+    ref, m, v = w.data.copy(), np.zeros((n, d)), np.zeros((n, d))
+    for t in (1, 2):
+        g = w.grad = rng.normal(size=(n, d))
+        peak = peak_traced_bytes(opt.step)
+        ref *= 1.0 - lr * wd
+        m = m * Adam.BETA1 + (1.0 - Adam.BETA1) * g
+        v = v * Adam.BETA2 + (1.0 - Adam.BETA2) * (g * g)
+        bc1, bc2 = 1.0 - Adam.BETA1 ** t, 1.0 - Adam.BETA2 ** t
+        ref -= lr * (m / bc1) / (np.sqrt(v / bc2) + Adam.EPS)
+        assert np.array_equal(w.data, ref)
+        # the update and its denominator, beside the finiteness mask; the
+        # one-expression update held three arrays of the parameter's size
+        assert peak < 2.5 * ref.nbytes, peak / ref.nbytes
 
 
 def test_first_step_magnitude():

@@ -492,6 +492,25 @@ def test_accumulate_takes_a_fresh_buffer_and_adds_later_ones():
     assert np.array_equal(second, np.full((2, 3), 2.0))
 
 
+def test_matmul_backward_hands_its_products_to_the_gradients(rng, monkeypatch):
+    n, d = 20_000, 16
+    a_values, w_values, proj = rng.normal(size=(n, d)), rng.normal(size=(d, d)), rng.normal(size=(n, d))
+
+    def backward_peak():
+        a, w = Tensor(a_values, requires_grad=True), Tensor(w_values, requires_grad=True)
+        loss = proj_loss(tape.matmul(a, w), proj)
+        peak = peak_traced_bytes(loss.backward)
+        return peak, a.grad, w.grad
+
+    handed = backward_peak()
+    original = Tensor.accumulate
+    monkeypatch.setattr(Tensor, "accumulate", lambda self, g, fresh=False: original(self, g))
+    copied = backward_peak()
+    # the same gradients, and one (N, d) array fewer than copying G W^T
+    assert np.array_equal(handed[1], copied[1]) and np.array_equal(handed[2], copied[2])
+    assert copied[0] - handed[0] > 0.9 * a_values.nbytes, (handed[0], copied[0])
+
+
 def test_backward_releases_op_results_and_keeps_leaf_gradients():
     loss, leaves = _network_loss(0)
     loss.backward()
