@@ -38,7 +38,7 @@ from .train import (
     train_node_classifier,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "run_command"]
 
 _LOADERS = {"node": load_node_dataset, "kg": load_kg_dataset}
 
@@ -217,6 +217,8 @@ def _sniff_task(data_dir: str) -> str:
 
 
 def cmd_search(args) -> int:
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     task = args.task or _sniff_task(args.data)
     net_cfg, train_cfg = _resolved_configs(args.config, task)
     space = _load_json(args.space, "search space")
@@ -226,7 +228,8 @@ def cmd_search(args) -> int:
     out = _write_resolved_config(args.out, f"search-{task}", args.seed,
                                  {"data": args.data, "space": space, "trials": args.trials,
                                   "jobs": args.jobs}, net_cfg, train_cfg)
-    rows = run_trials(task, dataset, trials, jobs=args.jobs)
+    rows = sorted(run_trials(dataset, trials, jobs=args.jobs),
+                  key=lambda r: (-r["val_metric"], r["trial"]))
     names = sorted(space)
     _write_csv(os.path.join(out, "trials.csv"), f"seed={args.seed}",
                ["rank", "trial", "val_metric", "test_metric", "best_epoch", "trial_seed"] + names,
@@ -286,22 +289,24 @@ def cmd_ablate(args) -> int:
     flags = [f.strip() for f in args.flags.split(",") if f.strip()]
     if not flags:
         raise CliError("need at least one flag")
+    repeated = sorted({f for f in flags if flags.count(f) > 1})
+    if repeated:
+        raise CliError(f"repeated ablation flags: {repeated}")
     net_cfg, train_cfg = _resolved_configs(args.config, "node", seed=args.seed)
-    combined = net_cfg.with_flags(flags)  # first, so that an error names every unknown flag
-    variants = [("full", (), net_cfg)]
-    variants += [(flag, (flag,), net_cfg.with_flags((flag,))) for flag in flags]
+    net_cfg.with_flags(flags)  # first, so that an error names every unknown flag
+    variants = [(), *((flag,) for flag in flags)]
     if len(flags) > 1:
-        variants.append(("+".join(flags), tuple(flags), combined))
+        variants.append(tuple(flags))
+    trials = [(variant, net_cfg.with_flags(variant), train_cfg) for variant in variants]
     dataset = load_node_dataset(args.data)
     out = _write_resolved_config(args.out, "ablate", args.seed,
                                  {"data": args.data, "flags": flags}, net_cfg, train_cfg)
-
     rows = []
-    for name, flag_set, variant_cfg in variants:
-        report, _ = train_node_classifier(dataset, variant_cfg, train_cfg)
-        label = "gat_equivalent" if set(flag_set) == set(ABLATION_FLAGS) else name
-        rows.append([name, label, repr(report.best_val), repr(report.test_metric), report.best_epoch])
-        print(f"{name} ({label}): val={report.best_val:.4f} test={report.test_metric:.4f}")
+    for row in run_trials(dataset, trials):
+        name = "+".join(row["params"]) or "full"
+        label = "gat_equivalent" if set(row["params"]) == set(ABLATION_FLAGS) else name
+        rows.append([name, label, repr(row["val_metric"]), repr(row["test_metric"]), row["best_epoch"]])
+        print(f"{name} ({label}): val={row['val_metric']:.4f} test={row['test_metric']:.4f}")
     _write_csv(os.path.join(out, "ablation.csv"), f"seed={args.seed}",
                ["variant", "label", "val_metric", "test_metric", "best_epoch"], rows)
     return 0
@@ -367,14 +372,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run_command(func, args) -> int:
+    """``func(args)``; a user-facing failure prints ``error: <message>`` to
+    stderr and returns exit code 1."""
     try:
-        return args.func(args)
+        return func(args)
     except (CliError, GraphFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return run_command(args.func, args)
 
 
 if __name__ == "__main__":

@@ -6,9 +6,10 @@ A space is a JSON object mapping parameter names to one of:
   {"kind": "choice", "values": [...]}
 Names must be NetworkConfig or TrainConfig fields. Every trial's config is
 sampled and checked up front from the run seed (``sample_trials``) and all
-trials train with the same base seed (``run_trials``), so an all-Fixed space
-yields identical trials and the ranked table is reproducible and independent
-of execution order; ``jobs`` only parallelizes the training runs.
+trials train with that seed, so an all-Fixed space yields identical trials.
+``run_trials`` trains any list of ``(params, net_cfg, train_cfg)`` trials, for
+``search``, ``ablate`` and ``scripts/sweep.py`` alike, and returns one row per
+trial in trial order; ``jobs`` only parallelizes the training runs.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .graph import NodeDataset
 from .model import NetworkConfig
 from .train import TrainConfig, train_kg, train_node_classifier
 
@@ -84,16 +86,17 @@ def _apply(sampled: dict, net_cfg: NetworkConfig, train_cfg: TrainConfig):
 
 
 def _run_trial(args):
-    task, dataset, net_cfg, train_cfg, index, sampled = args
-    trainer = train_node_classifier if task == "node" else train_kg
+    dataset, net_cfg, train_cfg, index, params = args
+    trainer = train_node_classifier if isinstance(dataset, NodeDataset) else train_kg
     report, _ = trainer(dataset, net_cfg, train_cfg)
     return {
         "trial": index,
-        "params": sampled,
+        "params": params,
         "seed": train_cfg.seed,
         "best_epoch": report.best_epoch,
         "val_metric": report.best_val,
         "test_metric": report.test_metric,
+        "epochs": len(report.train_loss),
     }
 
 
@@ -113,17 +116,12 @@ def sample_trials(base_net: NetworkConfig, base_train: TrainConfig, space: dict,
     return out
 
 
-def run_trials(task: str, dataset, trials: list, jobs: int = 1) -> list[dict]:
-    """Train every ``sample_trials`` entry and return rows sorted by
-    validation metric (descending; trial index breaks ties)."""
-    if task not in ("node", "kg"):
-        raise ValueError(f"task must be node or kg, got {task!r}")
-    jobs_args = [(task, dataset, net_cfg, train_cfg, i, sampled)
-                 for i, (sampled, net_cfg, train_cfg) in enumerate(trials)]
+def run_trials(dataset, trials: list, jobs: int = 1) -> list[dict]:
+    """Train every ``(params, net_cfg, train_cfg)`` trial on ``dataset`` with
+    the trainer for its type, and return one row per trial in trial order."""
+    jobs_args = [(dataset, net_cfg, train_cfg, i, params)
+                 for i, (params, net_cfg, train_cfg) in enumerate(trials)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_trial, jobs_args))
-    else:
-        rows = [_run_trial(a) for a in jobs_args]
-    rows.sort(key=lambda r: (-r["val_metric"], r["trial"]))
-    return rows
+            return list(pool.map(_run_trial, jobs_args))
+    return [_run_trial(a) for a in jobs_args]

@@ -1,6 +1,9 @@
 import csv
+import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from magna import cli
 from magna.cli import main
 from magna.graph import NodeDataset, load_kg_dataset, load_node_dataset
+from magna.train import train_node_classifier
 
 from helpers import compositional_kg, read_bytes, read_json, save_node_dataset, separable_node_dataset
 
@@ -213,9 +217,24 @@ def test_search_cli_writes_sorted_trials(node_dir, tiny_config, tmp_path):
     header, rows = read_csv_rows(os.path.join(out, "trials.csv"))
     assert "seed=2" in header
     assert len(rows) == 3
-    vals = [float(r["val_metric"]) for r in rows]
-    assert vals == sorted(vals, reverse=True)
+    # ranked by validation metric, descending; the trial index breaks ties
+    assert [r["rank"] for r in rows] == ["1", "2", "3"]
+    keys = [(-float(r["val_metric"]), int(r["trial"])) for r in rows]
+    assert keys == sorted(keys)
     assert all(r["hops"] in {"1", "2", "3"} for r in rows)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_search_rejects_jobs_below_one(node_dir, tmp_path, capsys, jobs):
+    space_file = str(tmp_path / "space.json")
+    with open(space_file, "w") as fh:
+        json.dump({"hops": {"kind": "choice", "values": [1, 2]}}, fh)
+    out = str(tmp_path / "o")
+    rc = main(["search", "--data", node_dir, "--space", space_file,
+               "--trials", "2", "--jobs", jobs, "--out", out])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert not os.path.exists(out)
 
 
 def test_search_rejects_bad_space(node_dir, tmp_path, capsys):
@@ -258,9 +277,10 @@ def test_ablate_labels_gat_equivalent(node_dir, tiny_config, tmp_path):
                "--flags", "no_diffusion,no_layernorm,no_feedforward", "--seed", "1"])
     assert rc == 0
     header, rows = read_csv_rows(os.path.join(out, "ablation.csv"))
+    # full, then each flag in the order given, then the combined variant
+    assert [r["variant"] for r in rows] == ["full", "no_diffusion", "no_layernorm", "no_feedforward",
+                                            "no_diffusion+no_layernorm+no_feedforward"]
     variants = {r["variant"]: r for r in rows}
-    assert set(variants) == {"full", "no_diffusion", "no_layernorm", "no_feedforward",
-                             "no_diffusion+no_layernorm+no_feedforward"}
     combined = variants["no_diffusion+no_layernorm+no_feedforward"]
     assert combined["label"] == "gat_equivalent"
     assert variants["full"]["label"] == "full"
@@ -271,6 +291,16 @@ def test_ablate_rejects_unknown_flag(node_dir, tmp_path, capsys):
                "--flags", "no_gravity"])
     assert rc == 1
     assert "no_gravity" in capsys.readouterr().err
+
+
+def test_ablate_rejects_repeated_flag(tmp_path, capsys):
+    """The flags are checked before the dataset loads: here there is none."""
+    out = str(tmp_path / "o")
+    rc = main(["ablate", "--data", str(tmp_path / "missing"), "--out", out,
+               "--flags", "no_diffusion,no_layernorm,no_diffusion"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: repeated ablation flags: ['no_diffusion']\n"
+    assert not os.path.exists(out)
 
 
 def test_analyze_discrepancy_end_to_end(node_dir, tiny_config, tmp_path):
@@ -314,35 +344,66 @@ def test_train_kg_is_byte_deterministic(kg_dir, tiny_config, tmp_path):
 def test_search_cli_on_kg_data(kg_dir, tiny_config, tmp_path):
     space_file = str(tmp_path / "space.json")
     with open(space_file, "w") as fh:
-        json.dump({"hops": {"kind": "choice", "values": [1, 2]}}, fh)
+        json.dump({"hops": {"kind": "choice", "values": [1, 2]},
+                   "lr": {"kind": "choice", "values": [0.002, 0.02]}}, fh)
     out = str(tmp_path / "kg_search")
     rc = main(["search", "--data", kg_dir, "--config", tiny_config,
-               "--space", space_file, "--trials", "2", "--out", out, "--seed", "4"])
+               "--space", space_file, "--trials", "3", "--out", out, "--seed", "2"])
     assert rc == 0
     header, rows = read_csv_rows(os.path.join(out, "trials.csv"))
-    assert len(rows) == 2
+    # seed 2 draws its one lr = 0.02 trial last, so ranking moves it to the top
+    assert rows[0]["trial"] == "2"
+    keys = [(-float(r["val_metric"]), int(r["trial"])) for r in rows]
+    assert keys == sorted(keys)
     resolved = read_json(os.path.join(out, "config.resolved.json"))
     assert resolved["task"] == "search-kg"
     with open(os.path.join(out, "train_report.json")) as fh:
         report = json.load(fh)
-    assert report["seed"] == 4 and report["load_seconds"] > 0
+    assert report["seed"] == 2 and report["load_seconds"] > 0
+
+
+def run_sweep(cwd, *args):
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts", "sweep.py")
+    return subprocess.run([sys.executable, script, *args],
+                          cwd=cwd, capture_output=True, text=True, timeout=300)
 
 
 def test_sweep_script_runs(node_dir, tiny_config, tmp_path):
-    import subprocess
-    import sys
-
     out_csv = str(tmp_path / "sweep.csv")
-    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "sweep.py")
-    proc = subprocess.run(
-        [sys.executable, script, "--data", node_dir, "--config", tiny_config,
-         "--param", "hops", "--values", "1,2", "--seeds", "0", "--out", out_csv],
-        capture_output=True, text=True, timeout=300,
-    )
+    # on these data the two head counts, and the two seeds at one head, give
+    # different test accuracies, so a row that pairs the wrong runs shows
+    proc = run_sweep(tmp_path, "--data", node_dir, "--config", tiny_config,
+                     "--param", "heads", "--values", "1,2", "--seeds", "0,1", "--out", out_csv)
     assert proc.returncode == 0, proc.stderr
     header, rows = read_csv_rows(out_csv)
-    assert [r["hops"] for r in rows] == ["1", "2"]
-    assert all(0.0 <= float(r["mean_test"]) <= 1.0 for r in rows)
+    assert [r["heads"] for r in rows] == ["1", "2"]
+    # each row holds the means of the trainer's runs with that value, one per seed
+    dataset = load_node_dataset(node_dir)
+    net_cfg, train_cfg = cli.load_run_config(tiny_config)
+    for row, heads in zip(rows, (1, 2)):
+        reports = [train_node_classifier(dataset, dataclasses.replace(net_cfg, heads=heads),
+                                         dataclasses.replace(train_cfg, seed=seed))[0]
+                   for seed in (0, 1)]
+        tests = [r.test_metric for r in reports]
+        assert float(row["mean_val"]) == np.mean([r.best_val for r in reports])
+        assert float(row["mean_test"]) == np.mean(tests)
+        assert float(row["std_test"]) == np.std(tests)
+        assert float(row["mean_epochs"]) == np.mean([len(r.train_loss) for r in reports])
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--param", "hops", "--values", "2.5"], "hops takes int values, got '2.5'"),
+    (["--param", "alpha", "--values", "0.5,1.5"], "alpha must be in (0, 1], got 1.5"),
+    (["--param", "hops", "--values", "1", "--config", "missing.json"],
+     "config file not found: missing.json"),
+])
+def test_sweep_script_fails_with_message_and_no_csv(node_dir, tiny_config, tmp_path, args, message):
+    """Every value's config is checked before training starts or the CSV opens."""
+    out_csv = str(tmp_path / "sweep.csv")
+    proc = run_sweep(tmp_path, "--data", node_dir, "--config", tiny_config, "--out", out_csv, *args)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message}\n"
+    assert not os.path.exists(out_csv)
 
 
 def test_checkpoint_config_records_model_shape(node_dir, kg_dir, node_checkpoint, kg_checkpoint):

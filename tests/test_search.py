@@ -64,32 +64,31 @@ def test_all_fixed_space_gives_identical_trials():
         "lr": {"kind": "fixed", "value": 0.02},
         "hops": {"kind": "fixed", "value": 2},
     }
-    rows = run_trials("node", ds, sample_trials(NET, TRAIN, space, 3, 5))
+    rows = run_trials(ds, sample_trials(NET, TRAIN, space, 3, 5))
     assert len(rows) == 3
     assert len({r["val_metric"] for r in rows}) == 1
     assert len({r["test_metric"] for r in rows}) == 1
     assert all(r["params"] == {"lr": 0.02, "hops": 2} for r in rows)
 
 
-def test_search_sorted_and_reproducible():
+def test_run_trials_keeps_trial_order_and_is_reproducible():
     ds = separable_node_dataset(seed=0, per_class=6)
     space = {
         "lr": {"kind": "range", "low": 1e-3, "high": 5e-2, "scale": "log"},
         "hops": {"kind": "choice", "values": [1, 2, 3]},
     }
-    rows1 = run_trials("node", ds, sample_trials(NET, TRAIN, space, 4, 11))
-    rows2 = run_trials("node", ds, sample_trials(NET, TRAIN, space, 4, 11))
-    vals = [r["val_metric"] for r in rows1]
-    assert vals == sorted(vals, reverse=True)
+    trials = sample_trials(NET, TRAIN, space, 4, 11)
+    rows1 = run_trials(ds, trials)
+    rows2 = run_trials(ds, sample_trials(NET, TRAIN, space, 4, 11))
+    assert [r["trial"] for r in rows1] == [0, 1, 2, 3]
+    assert [r["params"] for r in rows1] == [params for params, _, _ in trials]
     assert _outcomes(rows1) == _outcomes(rows2)
 
 
 def test_search_validates_inputs():
     ds = separable_node_dataset(seed=0, per_class=6)
     with pytest.raises(ValueError):
-        run_trials("node", ds, sample_trials(NET, TRAIN, {}, 0, 1))
-    with pytest.raises(ValueError):
-        run_trials("graph", ds, sample_trials(NET, TRAIN, {}, 1, 1))
+        run_trials(ds, sample_trials(NET, TRAIN, {}, 0, 1))
 
 
 def test_parallel_jobs_match_sequential():
@@ -98,8 +97,8 @@ def test_parallel_jobs_match_sequential():
         "lr": {"kind": "range", "low": 5e-3, "high": 5e-2, "scale": "log"},
         "hops": {"kind": "choice", "values": [1, 2]},
     }
-    seq = run_trials("node", ds, sample_trials(NET, TRAIN, space, 3, 9), jobs=1)
-    par = run_trials("node", ds, sample_trials(NET, TRAIN, space, 3, 9), jobs=2)
+    seq = run_trials(ds, sample_trials(NET, TRAIN, space, 3, 9), jobs=1)
+    par = run_trials(ds, sample_trials(NET, TRAIN, space, 3, 9), jobs=2)
     assert _outcomes(seq) == _outcomes(par)
 
 
@@ -109,6 +108,6 @@ def test_parallel_kg_jobs_match_sequential_after_ranking(tmp_path):
     kg = compositional_kg(str(tmp_path / "kg"))
     space = {"lr": {"kind": "choice", "values": [0.01, 0.02]}}
     train = replace(TRAIN, epochs=2, window=2)
-    seq = run_trials("kg", kg, sample_trials(NET, train, space, 2, 9), jobs=1)
-    par = run_trials("kg", kg, sample_trials(NET, train, space, 2, 9), jobs=2)
+    seq = run_trials(kg, sample_trials(NET, train, space, 2, 9), jobs=1)
+    par = run_trials(kg, sample_trials(NET, train, space, 2, 9), jobs=2)
     assert _outcomes(seq) == _outcomes(par)
