@@ -38,7 +38,7 @@ from .train import (
     train_node_classifier,
 )
 
-__all__ = ["main", "run_command"]
+__all__ = ["main"]
 
 _LOADERS = {"node": load_node_dataset, "kg": load_kg_dataset}
 
@@ -52,9 +52,12 @@ def _load_json(path: str, what: str) -> dict:
         raise CliError(f"{what} file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise CliError(f"{path}: a {what} file must be a JSON object, not {type(data).__name__}")
+    return data
 
 
 def load_run_config(path: str | None) -> tuple[NetworkConfig, TrainConfig]:
@@ -219,7 +222,7 @@ def _sniff_task(data_dir: str) -> str:
 def cmd_search(args) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
-    task = args.task or _sniff_task(args.data)
+    task = _sniff_task(args.data)
     net_cfg, train_cfg = _resolved_configs(args.config, task)
     space = _load_json(args.space, "search space")
     # every trial config is checked before any file is written
@@ -339,12 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-triple", action="store_true", help="also write per-triple ranks")
     p.set_defaults(func=cmd_eval_kg)
 
-    p = sub.add_parser("search", help="random hyperparameter search")
+    p = sub.add_parser("search", help="random hyperparameter search and grid sweeps")
     common(p)
     p.add_argument("--space", required=True, help="JSON search-space file")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--task", choices=list(_LOADERS), default=None)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("ablate", help="train ablation variants side by side")
@@ -372,19 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_command(func, args) -> int:
-    """``func(args)``; a user-facing failure prints ``error: <message>`` to
-    stderr and returns exit code 1."""
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        return func(args)
+        return args.func(args)
     except (CliError, GraphFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return run_command(args.func, args)
 
 
 if __name__ == "__main__":

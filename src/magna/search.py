@@ -1,19 +1,24 @@
-"""Random hyperparameter search over Fixed / Range / Choice spaces.
+"""Hyperparameter search over Fixed / Range / Choice / Grid spaces.
 
 A space is a JSON object mapping parameter names to one of:
   {"kind": "fixed",  "value": v}
   {"kind": "range",  "low": a, "high": b, "scale": "linear" | "log"}
   {"kind": "choice", "values": [...]}
-Names must be NetworkConfig or TrainConfig fields. Every trial's config is
-sampled and checked up front from the run seed (``sample_trials``) and all
-trials train with that seed, so an all-Fixed space yields identical trials.
-``run_trials`` trains any list of ``(params, net_cfg, train_cfg)`` trials, for
-``search``, ``ablate`` and ``scripts/sweep.py`` alike, and returns one row per
-trial in trial order; ``jobs`` only parallelizes the training runs.
+  {"kind": "grid",   "values": [...]}
+Names must be NetworkConfig or TrainConfig fields, ``seed`` included; the run
+seed is every trial's seed unless the space sets one. Grid entries are
+enumerated, not sampled: ``sample_trials`` walks the product of their distinct
+values (names sorted, values in the order given) and draws ``trials`` samples
+of the other entries at each point from one generator seeded by the run seed.
+A sweep over seeds is a grid of ``seed``. Every trial's config is drawn and
+checked up front. ``run_trials`` trains any list of ``(params, net_cfg,
+train_cfg)`` trials, for ``search`` and ``ablate`` alike, and returns one row
+per trial in trial order; ``jobs`` only parallelizes the training runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -26,9 +31,9 @@ from .train import TrainConfig, train_kg, train_node_classifier
 
 __all__ = ["validate_space", "sample_space", "sample_trials", "run_trials"]
 
-_KINDS = ("fixed", "range", "choice")
+_KINDS = ("fixed", "range", "choice", "grid")
 _NET_FIELDS = set(NetworkConfig.__dataclass_fields__)
-_TRAIN_FIELDS = set(TrainConfig.__dataclass_fields__) - {"seed"}
+_TRAIN_FIELDS = set(TrainConfig.__dataclass_fields__)
 
 
 def validate_space(space: dict) -> None:
@@ -42,6 +47,7 @@ def validate_space(space: dict) -> None:
             "fixed": {"kind", "value"},
             "range": {"kind", "low", "high", "scale"},
             "choice": {"kind", "values"},
+            "grid": {"kind", "values"},
         }[kind]
         extra = set(spec) - allowed
         if extra:
@@ -56,8 +62,14 @@ def validate_space(space: dict) -> None:
                 raise ValueError(f"{name}: scale must be linear or log")
             if spec.get("scale", "linear") == "log" and low <= 0:
                 raise ValueError(f"{name}: log range needs positive bounds")
-        if kind == "choice" and not spec.get("values"):
-            raise ValueError(f"{name}: choice needs a nonempty values list")
+        values = spec.get("values")
+        if kind in ("choice", "grid") and not (isinstance(values, list) and values):
+            raise ValueError(f"{name}: {kind} needs a nonempty values list")
+        if kind == "grid":
+            # ``in`` compares with ==, so an unhashable value is no error here
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{name}: repeated grid values {repeated}")
 
 
 def sample_space(space: dict, rng: np.random.Generator) -> dict:
@@ -96,23 +108,27 @@ def _run_trial(args):
         "best_epoch": report.best_epoch,
         "val_metric": report.best_val,
         "test_metric": report.test_metric,
-        "epochs": len(report.train_loss),
     }
 
 
 def sample_trials(base_net: NetworkConfig, base_train: TrainConfig, space: dict,
                   trials: int, seed: int) -> list[tuple[dict, NetworkConfig, TrainConfig]]:
-    """Every trial's sampled parameters and configs, drawn up front from
-    ``seed``; a value a config rejects raises here, before any training."""
+    """Every trial's parameters and configs: ``trials`` draws at each grid
+    point, all up front from ``seed``; a value a config rejects raises here,
+    before any training."""
     if trials < 1:
         raise ValueError("need at least one trial")
     validate_space(space)
+    grid = sorted(name for name, spec in space.items() if spec["kind"] == "grid")
+    sampled_space = {name: spec for name, spec in space.items() if name not in grid}
+    base_train = replace(base_train, seed=seed)
     sample_rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = []
-    for _ in range(trials):
-        sampled = sample_space(space, sample_rng)
-        net_cfg, train_cfg = _apply(sampled, base_net, base_train)
-        out.append((sampled, net_cfg, replace(train_cfg, seed=seed)))
+    for point in itertools.product(*(space[name]["values"] for name in grid)):
+        for _ in range(trials):
+            params = dict(sorted({**sample_space(sampled_space, sample_rng),
+                                  **dict(zip(grid, point))}.items()))
+            out.append((params, *_apply(params, base_net, base_train)))
     return out
 
 

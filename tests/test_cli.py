@@ -2,8 +2,6 @@ import csv
 import dataclasses
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -362,48 +360,75 @@ def test_search_cli_on_kg_data(kg_dir, tiny_config, tmp_path):
     assert report["seed"] == 2 and report["load_seconds"] > 0
 
 
-def run_sweep(cwd, *args):
-    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts", "sweep.py")
-    return subprocess.run([sys.executable, script, *args],
-                          cwd=cwd, capture_output=True, text=True, timeout=300)
+def write_space(tmp_path, space) -> str:
+    path = str(tmp_path / "space.json")
+    with open(path, "w") as fh:
+        json.dump(space, fh)
+    return path
 
 
-def test_sweep_script_runs(node_dir, tiny_config, tmp_path):
-    out_csv = str(tmp_path / "sweep.csv")
+def test_grid_search_rows_are_the_trainer_runs(node_dir, tiny_config, tmp_path):
     # on these data the two head counts, and the two seeds at one head, give
     # different test accuracies, so a row that pairs the wrong runs shows
-    proc = run_sweep(tmp_path, "--data", node_dir, "--config", tiny_config,
-                     "--param", "heads", "--values", "1,2", "--seeds", "0,1", "--out", out_csv)
-    assert proc.returncode == 0, proc.stderr
-    header, rows = read_csv_rows(out_csv)
-    assert [r["heads"] for r in rows] == ["1", "2"]
-    # each row holds the means of the trainer's runs with that value, one per seed
+    space_file = write_space(tmp_path, {"heads": {"kind": "grid", "values": [1, 2]},
+                                        "seed": {"kind": "grid", "values": [0, 1]}})
+    out = str(tmp_path / "sweep")
+    rc = main(["search", "--data", node_dir, "--config", tiny_config, "--space", space_file,
+               "--trials", "1", "--jobs", "2", "--out", out])
+    assert rc == 0
+    header, rows = read_csv_rows(os.path.join(out, "trials.csv"))
+    # one trial per grid point, names sorted, values in the order given
+    points = {row["trial"]: (int(row["heads"]), int(row["seed"])) for row in rows}
+    assert points == {"0": (1, 0), "1": (1, 1), "2": (2, 0), "3": (2, 1)}
     dataset = load_node_dataset(node_dir)
     net_cfg, train_cfg = cli.load_run_config(tiny_config)
-    for row, heads in zip(rows, (1, 2)):
-        reports = [train_node_classifier(dataset, dataclasses.replace(net_cfg, heads=heads),
-                                         dataclasses.replace(train_cfg, seed=seed))[0]
-                   for seed in (0, 1)]
-        tests = [r.test_metric for r in reports]
-        assert float(row["mean_val"]) == np.mean([r.best_val for r in reports])
-        assert float(row["mean_test"]) == np.mean(tests)
-        assert float(row["std_test"]) == np.std(tests)
-        assert float(row["mean_epochs"]) == np.mean([len(r.train_loss) for r in reports])
+    for row in rows:
+        heads, seed = points[row["trial"]]
+        assert row["trial_seed"] == row["seed"]
+        report, _ = train_node_classifier(dataset, dataclasses.replace(net_cfg, heads=heads),
+                                          dataclasses.replace(train_cfg, seed=seed))
+        assert float(row["val_metric"]) == report.best_val
+        assert float(row["test_metric"]) == report.test_metric
+        assert int(row["best_epoch"]) == report.best_epoch
+    assert len({row["test_metric"] for row in rows}) > 1
 
 
-@pytest.mark.parametrize("args, message", [
-    (["--param", "hops", "--values", "2.5"], "hops takes int values, got '2.5'"),
-    (["--param", "alpha", "--values", "0.5,1.5"], "alpha must be in (0, 1], got 1.5"),
-    (["--param", "hops", "--values", "1", "--config", "missing.json"],
-     "config file not found: missing.json"),
-])
-def test_sweep_script_fails_with_message_and_no_csv(node_dir, tiny_config, tmp_path, args, message):
-    """Every value's config is checked before training starts or the CSV opens."""
-    out_csv = str(tmp_path / "sweep.csv")
-    proc = run_sweep(tmp_path, "--data", node_dir, "--config", tiny_config, "--out", out_csv, *args)
-    assert proc.returncode == 1
-    assert proc.stderr == f"error: {message}\n"
-    assert not os.path.exists(out_csv)
+@pytest.mark.parametrize("space, config, message", [
+    ({"hops": {"kind": "grid", "values": [2.5]}}, None, "hops must be an integer, got 2.5"),
+    ({"alpha": {"kind": "grid", "values": [0.5, 1.5]}}, None, "alpha must be in (0, 1], got 1.5"),
+    ({"hops": {"kind": "grid", "values": [1]}}, "missing.json", "config file not found: missing.json"),
+    ({"hops": {"kind": "grid", "values": [1, 2, 1]}}, None, "hops: repeated grid values [1]"),
+    ({"hops": {"kind": "grid", "values": [[1], [1]]}}, None, "hops: repeated grid values [[1]]"),
+    ({"seed": {"kind": "grid", "values": [0, 1, 0]}}, None, "seed: repeated grid values [0]"),
+], ids=["hops-not-int", "alpha-out-of-range", "missing-config", "repeated", "repeated-unhashable",
+        "repeated-seed"])
+def test_grid_search_fails_with_message_and_no_file(node_dir, tiny_config, tmp_path, capsys,
+                                                    space, config, message):
+    """Every grid point's config is checked before any file is written."""
+    space_file = write_space(tmp_path, space)
+    out = str(tmp_path / "sweep")
+    rc = main(["search", "--data", node_dir, "--config", config or tiny_config,
+               "--space", space_file, "--trials", "1", "--out", out])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, what", [("train-node", "config"), ("search", "search space")])
+@pytest.mark.parametrize("payload", [[], "x", 3])
+def test_config_and_space_files_must_hold_an_object(node_dir, tmp_path, capsys, command, what, payload):
+    path = str(tmp_path / "file.json")
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    out = str(tmp_path / "o")
+    if command == "train-node":
+        argv = ["train-node", "--data", node_dir, "--config", path, "--out", out]
+    else:
+        argv = ["search", "--data", node_dir, "--space", path, "--trials", "1", "--out", out]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: a {what} file must be a JSON object, not {type(payload).__name__}\n")
+    assert not os.path.exists(out)
 
 
 def test_checkpoint_config_records_model_shape(node_dir, kg_dir, node_checkpoint, kg_checkpoint):

@@ -1,8 +1,12 @@
+import hashlib
+import json
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from magna.cli import load_run_config
 from magna.model import NetworkConfig
 from magna.search import run_trials, sample_space, sample_trials, validate_space
 from magna.train import TrainConfig
@@ -11,6 +15,7 @@ from helpers import compositional_kg, separable_node_dataset
 
 NET = NetworkConfig(blocks=1, dim=8, heads=2, alpha=0.3, hops=2, relation_dim=4)
 TRAIN = TrainConfig(lr=0.02, weight_decay=1e-4, epochs=25, window=25)
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
 
 
 def _outcomes(rows):
@@ -34,6 +39,76 @@ def test_validate_space_rejects_bad_entries():
         validate_space({"hops": {"kind": "choice", "values": []}})
     with pytest.raises(ValueError, match="unexpected keys"):
         validate_space({"lr": {"kind": "fixed", "value": 1, "bonus": 2}})
+    with pytest.raises(ValueError, match="nonempty"):
+        validate_space({"hops": {"kind": "grid", "values": 3}})
+
+
+def _space(name):
+    """The JSON file ``name`` in configs/."""
+    with open(os.path.join(CONFIGS, name)) as fh:
+        return json.load(fh)
+
+
+# sha256 of json.dumps([[params, trial seed], ...]) for three trials, recorded
+# before the grid kind existed: a space without a grid entry must keep every draw
+PINNED_DRAWS = {
+    ("search_node.json", 0): "a06acde687df3c53d07ac2e186cbb909f9db50e431393eebf805cbfe87bfb370",
+    ("search_node.json", 7): "ebf2e754106836128d197fd98700550b198194fc6e75d1f0075e039dd3255ef0",
+    ("search_kg.json", 0): "36cf144a87b88695240bca51ea35a20a0f02474aa18f9999c7a7185899eba676",
+    ("search_kg.json", 7): "0f2d1996fb65d7e4936546dd649e587453fe70433ece8877bc50f68bc0315ce7",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED_DRAWS))
+def test_checked_in_space_draws_are_pinned(name, seed):
+    net, train = load_run_config(os.path.join(CONFIGS, "cora_desk.json"))
+    trials = sample_trials(net, train, _space(name), 3, seed)
+    blob = json.dumps([[params, train_cfg.seed] for params, _, train_cfg in trials])
+    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_DRAWS[name, seed]
+
+
+# every file in configs/ but the run configs, which hold network and train sections
+SPACE_FILES = sorted(name for name in os.listdir(CONFIGS)
+                     if name.endswith(".json") and not {"network", "train"} & set(_space(name)))
+
+
+def test_configs_hold_the_spaces_the_docs_use():
+    assert {"search_node.json", "search_kg.json", "sweep_hops.json"} <= set(SPACE_FILES)
+
+
+@pytest.mark.parametrize("name", SPACE_FILES)
+def test_every_checked_in_space_samples(name):
+    space = _space(name)
+    validate_space(space)
+    net, train = load_run_config(os.path.join(CONFIGS, "cora_desk.json"))
+    trials = sample_trials(net, train, space, 2, 0)
+    assert all(set(params) == set(space) for params, _, _ in trials)
+
+
+def test_grid_enumerates_points_and_shares_one_draw_stream():
+    sampled = {"lr": {"kind": "range", "low": 1e-3, "high": 5e-2, "scale": "log"},
+               "hops": {"kind": "choice", "values": [1, 2, 3]}}
+    grid = {"heads": {"kind": "grid", "values": [4, 1]},
+            "alpha": {"kind": "grid", "values": [0.5, 0.1, 0.2]}}
+    trials = sample_trials(NET, TRAIN, {**sampled, **grid}, 2, 3)
+    # names sorted, values in the order given, ``trials`` draws at each point
+    points = [(alpha, heads) for alpha in (0.5, 0.1, 0.2) for heads in (4, 1) for _ in range(2)]
+    assert [(p["alpha"], p["heads"]) for p, _, _ in trials] == points
+    assert [(net.alpha, net.heads) for _, net, _ in trials] == points
+    # the other entries are drawn as if the grid were not there
+    alone = sample_trials(NET, TRAIN, sampled, len(trials), 3)
+    assert [{k: p[k] for k in sampled} for p, _, _ in trials] == [p for p, _, _ in alone]
+    assert all(list(p) == sorted(p) for p, _, _ in trials)
+
+
+def test_seed_entry_overrides_the_run_seed():
+    assert [t.seed for _, _, t in sample_trials(NET, TRAIN, {}, 2, 5)] == [5, 5]
+    fixed = {"seed": {"kind": "fixed", "value": 3}}
+    assert [t.seed for _, _, t in sample_trials(NET, TRAIN, fixed, 2, 5)] == [3, 3]
+    grid = {"seed": {"kind": "grid", "values": [2, 0, 1]}}
+    assert [t.seed for _, _, t in sample_trials(NET, TRAIN, grid, 1, 5)] == [2, 0, 1]
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        sample_trials(NET, TRAIN, {"seed": {"kind": "range", "low": 0, "high": 9}}, 1, 5)
 
 
 def test_choice_samples_stay_in_set(rng):
