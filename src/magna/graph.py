@@ -5,7 +5,8 @@ a CSR-style ``in_indptr`` so aggregation into a node scans one contiguous
 segment. Everything is immutable after construction and safe to share across
 threads.
 
-On-disk formats (UTF-8, LF, tab-separated):
+On-disk formats (UTF-8, LF, tab-separated; a leading byte-order mark is
+skipped):
   node dataset dir: features.tsv  ``node_id<TAB>v1,v2,...``
                     edges.tsv     ``src<TAB>dst[<TAB>relation]``
                     labels.tsv    ``node_id<TAB>class_id``
@@ -16,7 +17,9 @@ On-disk formats (UTF-8, LF, tab-separated):
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import compress, count, repeat
 
 import numpy as np
 
@@ -60,6 +63,7 @@ class Graph:
         """``edges``: (src, rel, dst) rows, as an (E, 3) array or a list of tuples."""
         self.num_nodes = int(num_nodes)
         self.num_relations = int(num_relations)
+        _check_key_bound(self.num_nodes, self.num_relations)
         edges = np.asarray(edges, dtype=np.int64)
         if edges.size and (edges.ndim != 2 or edges.shape[1] != 3):
             raise ValueError(f"edges must be (src, rel, dst) rows, got shape {edges.shape}")
@@ -69,14 +73,17 @@ class Graph:
             if ids.size and (ids.min() < 0 or ids.max() >= bound):
                 raise GraphFormatError(f"{name} id out of range (0..{bound - 1})")
 
-        order = np.lexsort((rel, src, dst))
-        self.src = src[order]
-        self.rel = rel[order]
-        self.dst = dst[order]
-        # sorted by the full key, so any repeated edge sits next to its twin
-        if np.any((self.src[1:] == self.src[:-1]) & (self.rel[1:] == self.rel[:-1])
-                  & (self.dst[1:] == self.dst[:-1])):
+        # (dst, src, rel) as one key, which sorts and splits back into its ids
+        key = dst * self.num_nodes
+        key += src
+        key *= self.num_relations
+        key += rel
+        key.sort()
+        # a repeated edge sits next to its twin
+        if np.any(np.diff(key) == 0):
             raise GraphFormatError("duplicate (src, rel, dst) edge")
+        key, self.rel = np.divmod(key, self.num_relations)
+        self.dst, self.src = np.divmod(key, self.num_nodes)
         counts = np.bincount(self.dst, minlength=self.num_nodes)
         self.in_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
@@ -99,6 +106,15 @@ class Graph:
         return Graph(self.num_nodes, max(self.num_relations, 1), edges)
 
 
+def _check_key_bound(num_nodes: int, num_relations: int) -> None:
+    """Raise unless every ``(node * num_nodes + node) * num_relations +
+    relation`` key, the largest being ``num_nodes**2 * num_relations - 1``,
+    fits in int64."""
+    if num_nodes ** 2 * num_relations > 2 ** 63:
+        raise ValueError(f"{num_nodes} nodes and {num_relations} relations overflow "
+                         "an int64 sort key (N*N*R > 2**63)")
+
+
 def kg_queries(triples, num_relations: int) -> np.ndarray:
     """Both directions of each (head, rel, tail) triple as (entity, relation,
     answer) rows, interleaved: row ``2i`` is ``(h, r, t)`` and row ``2i+1``
@@ -113,15 +129,19 @@ def kg_answer_index(triples, num_relations: int) -> tuple[np.ndarray, np.ndarray
     ascend, and ``answers[indptr[i]:indptr[i+1]]`` are the distinct answers
     to ``keys[i]``, ascending."""
     entities, relations, answers = kg_queries(triples, num_relations).T
-    keys = entities * (2 * num_relations) + relations
-    order = np.lexsort((answers, keys))
-    keys, answers = keys[order], answers[order]
+    num_entities = int(answers.max(initial=0)) + 1
+    _check_key_bound(num_entities, 2 * num_relations)
+    # each (key, answer) pair as one int64, ordered by key, then answer
+    pairs = entities * (2 * num_relations)
+    pairs += relations
+    pairs *= num_entities
+    pairs += answers
+    pairs.sort()
     # a triple in more than one split gives the same (key, answer) pair; ids
     # are non-negative, so the first pair differs from the -1 before it
-    distinct = (np.diff(keys, prepend=-1) != 0) | (np.diff(answers, prepend=-1) != 0)
-    keys, answers = keys[distinct], answers[distinct]
-    keys, starts = np.unique(keys, return_index=True)
-    return keys, np.append(starts, len(answers)), answers
+    keys, answers = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], num_entities)
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], np.append(starts, len(answers)), answers
 
 
 def kg_known_answers(index, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +199,7 @@ def _read_lines(path: str):
     as the file is read."""
     if not os.path.isfile(path):
         raise GraphFormatError("missing file", path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for i, line in enumerate(fh, start=1):
             if line.strip():
                 yield i, line.rstrip("\n")
@@ -351,18 +371,38 @@ def load_node_dataset(directory: str) -> NodeDataset:
 # knowledge graph I/O
 
 
-def _read_triples(path: str, entity_ids: dict, relation_ids: dict) -> tuple[np.ndarray, list[int]]:
+def _read_triples(path: str, entity_ids: defaultdict, relation_ids: defaultdict) -> tuple[np.ndarray, np.ndarray]:
     """Parse a ``head<TAB>relation<TAB>tail`` file into an (n, 3) int64 id
     array, interning new names into the two dicts in order of appearance
-    (head before tail). Also returns each row's line number."""
-    lines = list(_read_lines(path))
-    for lineno, line in lines:
-        if line.count("\t") != 2:
-            raise GraphFormatError("expected head<TAB>relation<TAB>tail", path, lineno)
-    entity, relation = entity_ids.setdefault, relation_ids.setdefault
-    ids = [(entity(h, len(entity_ids)), relation(r, len(relation_ids)), entity(t, len(entity_ids)))
-           for h, r, t in (line.split("\t") for _, line in lines)]
-    return np.array(ids, dtype=np.int64).reshape(-1, 3), [lineno for lineno, _ in lines]
+    (head before tail). Also returns each row's line number.
+
+    Each dict's default factory hands out the next id, so one lookup per
+    name interns it. The file is read and split whole, and the lookups run
+    as C loops over the field lists, with no Python code per line.
+    """
+    if not os.path.isfile(path):
+        raise GraphFormatError("missing file", path)
+    with open(path, encoding="utf-8-sig") as fh:
+        lines = fh.read().split("\n")
+    # as _read_lines: a line is blank when it strips to nothing
+    nonblank = np.fromiter(map(bool, map(str.strip, lines)), dtype=bool, count=len(lines))
+    tabs = np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64, count=len(lines))
+    bad = np.flatnonzero(nonblank & (tabs != 2))
+    if bad.size:
+        raise GraphFormatError("expected head<TAB>relation<TAB>tail", path, int(bad[0]) + 1)
+    # every kept line holds two tabs, so its fields are 3i, 3i+1, 3i+2
+    kept = "\t".join(compress(lines, nonblank.tolist()))
+    del lines
+    fields = kept.split("\t") if nonblank.any() else []
+    del kept
+    relations = fields[1::3]
+    del fields[1::3]  # leaves head, tail, head, tail, ...
+    rows = np.empty((len(relations), 3), dtype=np.int64)
+    rows[:, ::2] = np.fromiter(map(entity_ids.__getitem__, fields), dtype=np.int64,
+                               count=len(fields)).reshape(-1, 2)
+    del fields
+    rows[:, 1] = np.fromiter(map(relation_ids.__getitem__, relations), dtype=np.int64, count=len(relations))
+    return rows, np.flatnonzero(nonblank) + 1
 
 
 def load_kg_dataset(directory: str) -> KgDataset:
@@ -373,8 +413,8 @@ def load_kg_dataset(directory: str) -> KgDataset:
     holds every train triple in both directions: relation ``k`` gets a
     reverse twin ``k + num_relations``.
     """
-    entity_ids: dict[str, int] = {}
-    relation_ids: dict[str, int] = {}
+    entity_ids = defaultdict(count().__next__)
+    relation_ids = defaultdict(count().__next__)
     (train, train_lines), (valid, _), (test, _) = (
         _read_triples(os.path.join(directory, f"{name}.txt"), entity_ids, relation_ids)
         for name in ("train", "valid", "test"))

@@ -299,8 +299,10 @@ def distmult_scores(entities: Tensor, relations: Tensor, heads, rels) -> Tensor:
 
     The adjoint keeps the bits of the gather, product and matmul chain it
     replaces by adding in its order: ``entities`` takes ``(q^T G)^T`` first,
-    then the head rows of ``(G E) * R[rels]`` scattered into a zeroed buffer,
-    and ``relations`` takes the rows of ``(G E) * E[heads]``.
+    then the rows of ``(G E) * R[rels]`` summed per distinct head onto zeros,
+    and ``relations`` takes the rows of ``(G E) * E[heads]``. The chain added
+    a zero row to every other entity too; that could only turn a -0.0 into
+    +0.0, and a matmul's sums, which start from +0.0, give no -0.0 to turn.
     """
     heads = np.asarray(heads, dtype=np.int64)
     rels = np.asarray(rels, dtype=np.int64)
@@ -314,9 +316,10 @@ def distmult_scores(entities: Tensor, relations: Tensor, heads, rels) -> Tensor:
         ge = g @ entities.data
         if entities.requires_grad:
             entities.accumulate((q.T @ g).T, fresh=True)
-            de = np.zeros_like(entities.data)
-            np.add.at(de, heads, ge * r_r)
-            entities.accumulate(de)
+            rows, slots = np.unique(heads, return_inverse=True)
+            de = np.zeros((len(rows), entities.shape[1]))
+            np.add.at(de, slots, ge * r_r)
+            entities.grad[rows] += de
         if relations.requires_grad:
             dr = np.zeros_like(relations.data)
             np.add.at(dr, rels, ge * e_h)

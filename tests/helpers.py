@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 
 from magna.attention import ORACLE_MAX_NODES
-from magna.graph import SPLIT_NONE, SPLIT_TOKENS, Graph, GraphFormatError, kg_queries
+from magna.graph import SPLIT_NONE, SPLIT_TOKENS, Graph, GraphFormatError, _read_lines, kg_queries
 from magna.tape import Tensor
 from magna.tasks import _rank_rows
 
@@ -271,6 +271,59 @@ def save_kg_dataset(kg, directory: str) -> None:
         with open(os.path.join(directory, f"{name}.txt"), "w", encoding="utf-8") as fh:
             for h, r, t in triples:
                 fh.write(f"{kg.entity_names[h]}\t{kg.relation_names[r]}\t{kg.entity_names[t]}\n")
+
+
+def reference_read_triples(path: str, entity_ids: dict, relation_ids: dict) -> tuple[np.ndarray, list[int]]:
+    """The per-line parse of a ``head<TAB>relation<TAB>tail`` file that
+    ``graph._read_triples`` reads in bulk: each streamed line's tabs are
+    checked, then each line is split and its names interned with
+    ``setdefault``, head before tail."""
+    lines = list(_read_lines(path))
+    for lineno, line in lines:
+        if line.count("\t") != 2:
+            raise GraphFormatError("expected head<TAB>relation<TAB>tail", path, lineno)
+    entity, relation = entity_ids.setdefault, relation_ids.setdefault
+    ids = [(entity(h, len(entity_ids)), relation(r, len(relation_ids)), entity(t, len(entity_ids)))
+           for h, r, t in (line.split("\t") for _, line in lines)]
+    return np.array(ids, dtype=np.int64).reshape(-1, 3), [lineno for lineno, _ in lines]
+
+
+def reference_read_kg(directory: str) -> tuple[list, list, list]:
+    """Names and split arrays of a KG directory by ``reference_read_triples``:
+    ``(entity_names, relation_names, [train, valid, test])``."""
+    entity_ids, relation_ids = {}, {}
+    splits = [reference_read_triples(os.path.join(directory, f"{name}.txt"), entity_ids, relation_ids)[0]
+              for name in ("train", "valid", "test")]
+    return list(entity_ids), list(relation_ids), splits
+
+
+def reference_kg_index(num_entities: int, triples: np.ndarray, all_triples: np.ndarray, num_relations: int):
+    """The KG graph's (src, rel, dst, in_indptr) and the answer index, each
+    grouped by a ``lexsort`` over its columns: edges by (dst, src, rel), and
+    distinct (key, answer) pairs by key, then answer."""
+    src, rel, dst = kg_queries(triples, num_relations).T
+    order = np.lexsort((rel, src, dst))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=num_entities))))
+    entities, relations, answers = kg_queries(all_triples, num_relations).T
+    keys = entities * (2 * num_relations) + relations
+    by_key = np.lexsort((answers, keys))
+    keys, answers = keys[by_key], answers[by_key]
+    distinct = (np.diff(keys, prepend=-1) != 0) | (np.diff(answers, prepend=-1) != 0)
+    keys, answers = keys[distinct], answers[distinct]
+    keys, starts = np.unique(keys, return_index=True)
+    return (src[order], rel[order], dst[order], indptr), (keys, np.append(starts, len(answers)), answers)
+
+
+def distmult_entity_grad(grad, entities, relations, heads, rels, g):
+    """The entity gradient that ``distmult_scores``' adjoint adds to ``grad``
+    (None for none yet), as the adjoint first wrote it: ``(q^T G)^T``, then
+    the head rows of ``(G E) * R[rels]`` scattered into a zeroed buffer of
+    the table's size, added whole."""
+    q = entities[heads] * relations[rels]
+    grad = (q.T @ g).T if grad is None else grad + (q.T @ g).T
+    de = np.zeros_like(entities)
+    np.add.at(de, heads, (g @ entities) * relations[rels])
+    return grad + de
 
 
 # ---------------------------------------------------------------------------

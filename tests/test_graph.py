@@ -1,4 +1,9 @@
+import codecs
+import importlib.util
 import os
+import tempfile
+from collections import defaultdict
+from itertools import count
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from magna.graph import (
     load_kg_dataset,
     load_node_dataset,
 )
+from magna.graph import _check_key_bound, _read_triples
 
 from conftest import require_dataset
 from helpers import (
@@ -26,10 +32,15 @@ from helpers import (
     known_set,
     path_graph,
     peak_traced_bytes,
+    reference_kg_index,
+    reference_read_kg,
+    reference_read_triples,
     save_kg_dataset,
     save_node_dataset,
     star_graph,
 )
+
+BOM = codecs.BOM_UTF8
 
 
 def write_node_dataset(directory, features, edges, labels, splits):
@@ -100,6 +111,17 @@ def test_node_id_out_of_range_reports_file(tmp_path):
 def test_missing_file_is_reported(tmp_path):
     with pytest.raises(GraphFormatError, match="missing file"):
         load_node_dataset(str(tmp_path))
+
+
+@pytest.mark.parametrize("name", ["features.tsv", "edges.tsv"])
+def test_byte_order_mark_is_skipped(tmp_path, name):
+    plain = load_node_dataset(toy_dataset(tmp_path / "plain"))
+    d = toy_dataset(tmp_path / "bom")
+    path = tmp_path / "bom" / "ds" / name
+    path.write_bytes(BOM + path.read_bytes())
+    ds = load_node_dataset(d)
+    assert edge_list(ds.graph) == edge_list(plain.graph)
+    assert np.array_equal(ds.features, plain.features)
 
 
 def test_ragged_features_rejected(tmp_path):
@@ -506,6 +528,109 @@ def test_kg_ids_follow_first_appearance(train, valid, test):
     for got, rows in ((kg.train, train), (kg.valid, valid), (kg.test, test)):
         assert got.dtype == np.int64 and got.shape == (len(rows), 3)
         assert got.tolist() == [[entity_ids[h], relation_ids[r], entity_ids[t]] for h, r, t in rows]
+
+
+# names with spaces, non-ASCII letters and characters that strip() removes
+# or that other line splitters break at; whitespace-only lines are blank
+TRIPLE_NAMES = st.sampled_from(["a", "b", "a b", " a", "\u00e9", "\u65e5\u672c", "\x1c", "\u2028", ""])
+TRIPLE_LINES = st.one_of(
+    st.tuples(TRIPLE_NAMES, TRIPLE_NAMES, TRIPLE_NAMES).map("\t".join),
+    st.sampled_from(["", " ", "\t \t", "\u3000", "\x1c\t\x1d\t"]),
+    st.sampled_from(["a\tb", "a\tb\tc\td", "\t"]),
+)
+LINE_ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@given(st.lists(st.tuples(TRIPLE_LINES, LINE_ENDINGS), max_size=8), st.booleans(), st.booleans())
+def test_bulk_triple_reader_matches_per_line_reference(lines, final_newline, bom):
+    text = "".join(line + end for line, end in lines)
+    if lines and not final_newline:
+        text = text[:-len(lines[-1][1])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "train.txt")
+        with open(path, "wb") as fh:
+            fh.write((BOM if bom else b"") + text.encode("utf-8"))
+        # names interned by an earlier split keep their ids
+        reference_ids = [{"b": 0}, {"r": 0}]
+        ids = [defaultdict(count(1).__next__, names) for names in reference_ids]
+        try:
+            want = reference_read_triples(path, *reference_ids)
+        except GraphFormatError as exc:
+            with pytest.raises(GraphFormatError) as got:
+                _read_triples(path, *ids)
+            assert str(got.value) == str(exc)
+            return
+        rows, lines_of = _read_triples(path, *ids)
+    assert rows.dtype == np.int64 and np.array_equal(rows, want[0])
+    assert lines_of.tolist() == want[1]
+    assert [list(d) for d in ids] == [list(d) for d in reference_ids]
+
+
+@pytest.mark.parametrize("name", ["train.txt", "valid.txt"])
+def test_kg_byte_order_mark_is_skipped(tmp_path, name):
+    write_kg(str(tmp_path), [("a", "r", "b")], valid=[("b", "r", "a")])
+    path = tmp_path / name
+    path.write_bytes(BOM + path.read_bytes())
+    kg = load_kg_dataset(str(tmp_path))
+    assert kg.entity_names == ["a", "b"] and kg.relation_names == ["r"]
+    assert kg.train.tolist() == [[0, 0, 1]] and kg.valid.tolist() == [[1, 0, 0]]
+
+
+def _perfbench_generate():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_generate", os.path.join(os.path.dirname(__file__), "..", "perfbench", "generate.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def wn18rr_tenth(tmp_path_factory):
+    """The benchmark's WN18RR-shaped KG at 1/10 scale: 4,094 entities and
+    8,684 train triples."""
+    generate = _perfbench_generate()
+    directory = str(tmp_path_factory.mktemp("wn18rr_tenth"))
+    generate.kg_dataset(directory, np.random.default_rng(41), generate.scaled(generate.WN18RR_SHAPE, 0.1))
+    return directory
+
+
+def test_wn18rr_shaped_load_equals_reference(wn18rr_tenth):
+    kg = load_kg_dataset(wn18rr_tenth)
+    entity_names, relation_names, splits = reference_read_kg(wn18rr_tenth)
+    assert kg.entity_names == entity_names and kg.relation_names == relation_names
+    assert len(kg.train) == 8684 and kg.num_entities == 4094
+    for got, want in zip((kg.train, kg.valid, kg.test), splits):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    graph, answer_index = reference_kg_index(kg.num_entities, kg.train, np.concatenate(splits),
+                                             len(relation_names))
+    g = kg.graph
+    for got, want in zip((g.src, g.rel, g.dst, g.in_indptr, *kg.answer_index), (*graph, *answer_index)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_wn18rr_shaped_load_memory(wn18rr_tenth):
+    # the whole load, graph and answer index included, holds no more at its
+    # peak than the per-line reader's tuples do alone
+    load = peak_traced_bytes(lambda: load_kg_dataset(wn18rr_tenth))
+    read = peak_traced_bytes(lambda: reference_read_kg(wn18rr_tenth))
+    assert load <= read
+
+
+def test_sort_key_bound_raises_before_allocating():
+    _check_key_bound(2**31, 2)  # the largest key, 2**63 - 1, fits
+    for num_nodes, num_relations in ((2**31 + 1, 2), (2**40, 1), (3 * 10**9, 2)):
+        with pytest.raises(ValueError, match=f"{num_nodes} nodes and {num_relations} relations"):
+            _check_key_bound(num_nodes, num_relations)
+
+    def build():
+        with pytest.raises(ValueError, match="2147483649 nodes and 2 relations"):
+            Graph(2**31 + 1, 2, np.array([[0, 0, 1]]))
+
+    # the node count alone would make in_indptr 16 GiB
+    assert peak_traced_bytes(build) < 2**20
+    # an entity id this large gives the answer index the same key bound
+    with pytest.raises(ValueError, match="2147483649 nodes and 2 relations"):
+        kg_answer_index(np.array([[0, 0, 2**31]]), 1)
 
 
 def test_kg_roundtrip(tmp_path):

@@ -17,6 +17,7 @@ from helpers import (
     check_grad,
     count_ops,
     distmult_chain,
+    distmult_entity_grad,
     finite_diff_grad,
     graph_nodes,
     mul,
@@ -355,6 +356,29 @@ def test_distmult_scores_matches_chain_bitwise(rng, num_entities, dim, queries):
         grads.append([p.grad for p in params])
     for got, want in zip(*grads):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("earlier", [False, True])
+def test_distmult_entity_grad_keeps_the_full_buffer_bits(rng, earlier):
+    # zero gradient columns make every product in those entities' matmul
+    # sums a signed zero; an earlier gradient holds -0.0 in head rows and
+    # in rows no query uses
+    entities = rng.normal(size=(30, 6))
+    relations = rng.normal(size=(4, 6))
+    heads, rels = rng.integers(12, size=40), rng.integers(4, size=40)
+    g = rng.normal(size=(40, 30))
+    g[:, ::3] = 0.0
+    prev = None
+    if earlier:
+        prev = rng.normal(size=entities.shape)
+        prev[::2] = -0.0
+    ent = Tensor(entities, requires_grad=True)
+    ent.grad = None if prev is None else prev.copy()
+    rel = Tensor(relations, requires_grad=True)
+    out = tape.distmult_scores(ent, rel, heads, rels)
+    out._backward(g)
+    want = distmult_entity_grad(prev, entities, relations, heads, rels, g)
+    assert ent.grad.tobytes() == want.tobytes()
 
 
 def test_grad_segment_softmax(rng):
