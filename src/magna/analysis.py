@@ -49,6 +49,8 @@ def _normalized_pair(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = w.shape[0]
     if w.shape != (n, n):
         raise ValueError("weight matrix must be square")
+    if not np.isfinite(w).all():
+        raise ValueError("weight matrix has NaN or Inf entries")
     if np.max(np.abs(w - w.T)) > SYM_TOL:
         raise AsymmetricMatrixError(f"weight matrix must be symmetric within {SYM_TOL}")
     if (w < 0).any():

@@ -99,7 +99,7 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray, mask: np.ndarray) -> 
         dz[np.arange(rows.size), y] -= 1.0
         full = np.zeros_like(logits.data)
         full[rows] = (float(g) / rows.size) * dz
-        logits.accumulate(full)
+        logits.accumulate(full, fresh=True)
 
     return Tensor.from_op(np.asarray(loss_val), (logits,), "cross_entropy", backward), accuracy
 

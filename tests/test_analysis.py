@@ -113,6 +113,14 @@ def test_spectrum_rejects_asymmetric_and_bad_alpha():
         spectrum_report(PATH_ADJ, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spectrum_rejects_nonfinite_weights(rng, bad):
+    adj = undirected_adjacency(rng, 40)
+    adj[2, 5] = adj[5, 2] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        spectrum_report(adj, 0.5)
+
+
 def test_symmetrized_label_is_carried():
     report = spectrum_report(PATH_ADJ, 0.4, symmetrized=True)
     assert report.symmetrized is True

@@ -4,9 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from magna import linalg
 from magna.linalg import (
     AsymmetricMatrixError,
     SingularMatrixError,
+    _round_robin,
     dense_solve,
     sym_eigen,
 )
@@ -93,3 +95,61 @@ def test_eigen_residual_and_orthonormality(n, seed):
 def test_solver_scale_guards():
     with pytest.raises(ValueError, match="verification-scale"):
         sym_eigen(np.eye(501))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_round_robin_pairs_every_index_pair_once_per_sweep(n):
+    met = []
+    for p, q in _round_robin(n):
+        assert np.all(p < q)
+        in_round = np.concatenate([p, q])
+        assert len(set(in_round.tolist())) == in_round.size  # no index twice in a round
+        met += zip(p.tolist(), q.tolist())
+    assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+def normalized_tree_plus_edges(rng, n, extra):
+    """D^-1/2 W D^-1/2 of a random tree on n nodes plus ``extra`` random
+    edges, the shape of the benchmark's spectrum graph."""
+    w = np.zeros((n, n))
+    for v in range(1, n):
+        u = rng.integers(v)
+        w[u, v] = w[v, u] = 1.0
+    added = 0
+    while added < extra:
+        u, v = rng.integers(n, size=2)
+        if u != v and w[u, v] == 0.0:
+            w[u, v] = w[v, u] = 1.0
+            added += 1
+    inv_sqrt = 1.0 / np.sqrt(w.sum(axis=1))
+    return inv_sqrt[:, None] * w * inv_sqrt[None, :]
+
+
+def random_symmetric(rng, n):
+    a = rng.normal(size=(n, n))
+    return (a + a.T) / 2.0
+
+
+@pytest.mark.parametrize("build", [lambda rng: normalized_tree_plus_edges(rng, 80, 80),
+                                   lambda rng: random_symmetric(rng, 81)],
+                         ids=["benchmark_graph_80", "random_81"])
+def test_eigen_matches_eigvalsh_with_orthonormal_vectors(rng, build):
+    m = build(rng)
+    vals, vecs = sym_eigen(m)
+    assert_allclose(vals, np.linalg.eigvalsh(m), rtol=0, atol=1e-11)
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(m.shape[0]))) <= 1e-12
+    assert np.max(np.abs(m @ vecs - vecs * vals)) <= 1e-11
+
+
+def test_eigen_raises_when_sweeps_run_out(rng, monkeypatch):
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        sym_eigen(random_symmetric(rng, 12))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eigen_rejects_nonfinite_entries(rng, bad):
+    m = random_symmetric(rng, 40)
+    m[3, 7] = m[7, 3] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        sym_eigen(m)
