@@ -6,11 +6,17 @@ backward closure when any input requires gradients. ``Tensor.backward()``
 replays the recorded graph in reverse topological order, accumulating exact
 gradients of a scalar into every reachable leaf with ``requires_grad``.
 
-A graph is replayed once. Each op result drops its closure and its gradient
-as soon as its adjoint has run, so the values the closures hold (softmax
-rows, tanh outputs) are freed during backward rather than when the graph
-dies; only leaves keep their gradients. Hop states are never held: the
-diffusion adjoint recomputes them. Replaying a consumed graph raises.
+The graph is kept apart from the values. A recorded op result gets a
+``Node``: its op name, its parents' gradient sinks, its adjoint and its
+gradient, but no value. Each adjoint captures only the arrays it reads (a
+matmul keeps one operand for the other's gradient, an add only shapes), so
+an op result's value dies as soon as the caller drops it unless an adjoint
+reads it: the heads' diffusion outputs die once concatenated. A graph is
+replayed once: each node drops its adjoint and gradient as soon as the
+adjoint has run, so what the adjoints hold (softmax rows, tanh outputs) is
+freed during backward; only leaves keep their gradients. Hop states are
+never held: the diffusion adjoint recomputes them. Replaying a consumed
+graph raises.
 
 There is deliberately no general autodiff here: the vocabulary is the handful
 of ops the architecture needs, so every adjoint is short enough to audit.
@@ -72,15 +78,48 @@ def _check_finite(data: np.ndarray, op: str) -> None:
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
 
 
-class Tensor:
-    """A value on the tape.
+def _accumulate(sink, g: np.ndarray, fresh: bool) -> None:
+    if sink.grad is None:
+        sink.grad = g if fresh else np.array(g, copy=True)
+    else:
+        sink.grad += g
 
-    ``grad`` is populated by ``backward()`` on leaves and has the same shape
-    as ``data``. Tensors created by ops keep references to their parents only
-    while gradients are required, so evaluation-mode forwards hold no tape.
+
+class Node:
+    """The tape's record of one op result, which holds no value.
+
+    ``_parents`` are the gradient sinks of the op's inputs that take a
+    gradient, in argument order: the ``Node`` of a recorded op result, the
+    ``Tensor`` itself for a leaf. ``_backward`` is the adjoint and ``grad``
+    the gradient summed so far; ``backward()`` drops both once the adjoint
+    has run.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
+    __slots__ = ("op", "_parents", "_backward", "grad")
+
+    def __init__(self, op: str, parents: tuple, backward):
+        self.op = op
+        self._parents = parents
+        self._backward = backward
+        self.grad = None
+
+    def accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        """As ``Tensor.accumulate``."""
+        _accumulate(self, g, fresh)
+
+    def __repr__(self):
+        return f"Node(op={self.op!r}, parents={len(self._parents)})"
+
+
+class Tensor:
+    """A value, and for a recorded op result the ``Node`` that records it.
+
+    ``grad`` is populated by ``backward()`` on leaves and has the same shape
+    as ``data``. An op result is recorded only while gradients are
+    required, so evaluation-mode forwards hold no tape.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -88,55 +127,77 @@ class Tensor:
             raise ValueError(f"tensors are at most 2-d, got shape {self.data.shape}")
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.op = "leaf"
-        self._parents = ()
-        self._backward = None
+        self._node = None
 
     @classmethod
     def from_op(cls, data: np.ndarray, parents: tuple, op: str, backward) -> "Tensor":
-        """Create an op result; records the adjoint only if a parent needs it."""
+        """Create an op result; records a node with the adjoint only if a
+        parent needs a gradient. The node keeps the parents' sinks, never
+        their values: an adjoint that captures the arrays it reads, not the
+        parent tensors, lets every other value die with its last caller."""
         _check_finite(data, op)
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        out.op = op
-        if _grad_enabled and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
-        else:
-            out.requires_grad = False
-            out._parents = ()
-            out._backward = None
+        sinks = tuple(p.sink for p in parents if p.requires_grad) if _grad_enabled else ()
+        out.requires_grad = bool(sinks)
+        out._node = Node(op, sinks, backward) if sinks else None
         return out
 
     @property
     def shape(self):
         return self.data.shape
 
+    @property
+    def sink(self):
+        """Where an adjoint adds this tensor's gradient: its ``Node`` for a
+        recorded op result, the tensor itself for a leaf, and None when it
+        takes no gradient."""
+        if not self.requires_grad:
+            return None
+        return self if self._node is None else self._node
+
+    @property
+    def op(self) -> str:
+        return "leaf" if self._node is None else self._node.op
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        """The recorded adjoint; None for a leaf, an unrecorded result or a
+        consumed node. Assigning replaces the adjoint that ``backward()`` runs."""
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        if self._node is None:
+            raise AttributeError("only a recorded op result has an adjoint")
+        self._node._backward = fn
+
     def accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
-        """Add ``g`` to ``grad``. An adjoint passes ``fresh=True`` for a
-        buffer it allocated and never touches again, which then becomes the
-        first gradient without a copy."""
-        if self.grad is None:
-            self.grad = g if fresh else np.array(g, copy=True)
-        else:
-            self.grad += g
+        """Add ``g`` to the gradient, the node's for a recorded op result.
+        An adjoint passes ``fresh=True`` for a buffer it allocated and never
+        touches again, which then becomes the first gradient without a copy."""
+        _accumulate(self if self._node is None else self._node, g, fresh)
 
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable ``requires_grad`` leaf.
 
-        Consumes the graph: each op result's adjoint runs once, after which
-        its closure and gradient are dropped. Raises ``RuntimeError`` before
-        running any adjoint if the graph reaches an op result already
-        consumed by an earlier ``backward()``.
+        Consumes the graph: each node's adjoint runs once, after which its
+        closure and gradient are dropped. Raises ``RuntimeError`` before
+        running any adjoint if the graph reaches a node already consumed by
+        an earlier ``backward()``.
         """
         if self.data.size != 1:
             raise ValueError("backward() starts from a scalar loss")
-        order = _toposort(self)
+        root = self if self._node is None else self._node
+        order = _toposort(root)
         if any(t._parents and t._backward is None for t in order):
             raise RuntimeError("backward() reached a graph that an earlier backward() consumed")
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         for t in reversed(order):
             if t._backward is None:
                 continue  # a leaf keeps its gradient
@@ -148,7 +209,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
 
-def _toposort(root: Tensor) -> list:
+def _toposort(root) -> list:
+    """The sinks below ``root`` (a ``Node`` or a leaf), each after its parents."""
     order, visited = [], set()
     stack = [(root, iter(root._parents))]
     visited.add(id(root))
@@ -156,7 +218,7 @@ def _toposort(root: Tensor) -> list:
         node, parents = stack[-1]
         advanced = False
         for p in parents:
-            if id(p) not in visited and p.requires_grad:
+            if id(p) not in visited:
                 visited.add(id(p))
                 stack.append((p, iter(p._parents)))
                 advanced = True
@@ -190,12 +252,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: {a.shape} @ {b.shape}")
     out_data = a.data @ b.data
+    sa, sb = a.sink, b.sink
+    # each operand is kept only for the other's gradient
+    a_data = a.data if sb is not None else None
+    b_data = b.data if sa is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g @ b.data.T, fresh=True)
-        if b.requires_grad:
-            b.accumulate(a.data.T @ g, fresh=True)
+        if sa is not None:
+            sa.accumulate(g @ b_data.T, fresh=True)
+        if sb is not None:
+            sb.accumulate(a_data.T @ g, fresh=True)
 
     return Tensor.from_op(out_data, (a, b), "matmul", backward)
 
@@ -203,12 +269,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "add")
     out_data = a.data + b.data
+    sa, sb = a.sink, b.sink
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g, b.data.shape))
+        if sa is not None:
+            sa.accumulate(_unbroadcast(g, a_shape))
+        if sb is not None:
+            sb.accumulate(_unbroadcast(g, b_shape))
 
     return Tensor.from_op(out_data, (a, b), "add", backward)
 
@@ -220,12 +288,13 @@ def concat_cols(tensors) -> Tensor:
         raise ValueError("concat_cols: row counts differ")
     widths = [t.data.shape[1] for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=1)
+    sinks = [t.sink for t in tensors]
 
     def backward(g):
         j = 0
-        for t, w in zip(tensors, widths):
-            if t.requires_grad:
-                t.accumulate(g[:, j : j + w])
+        for s, w in zip(sinks, widths):
+            if s is not None:
+                s.accumulate(g[:, j : j + w])
             j += w
 
     return Tensor.from_op(out_data, tuple(tensors), "concat_cols", backward)
@@ -233,10 +302,12 @@ def concat_cols(tensors) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     pos = a.data > 0
-    out_data = np.where(pos, a.data, 0.0)
+    # the bits of np.where(pos, a.data, 0.0), signed zeros included
+    out_data = np.maximum(a.data, 0.0)
+    sa = a.sink
 
     def backward(g):
-        a.accumulate(g * pos, fresh=True)
+        sa.accumulate(g * pos, fresh=True)
 
     return Tensor.from_op(out_data, (a,), "relu", backward)
 
@@ -245,9 +316,10 @@ def elu(a: Tensor) -> Tensor:
     pos = a.data > 0
     expm1 = np.expm1(np.minimum(a.data, 0.0))
     out_data = np.where(pos, a.data, expm1)
+    sa = a.sink
 
     def backward(g):
-        a.accumulate(g * np.where(pos, 1.0, expm1 + 1.0), fresh=True)
+        sa.accumulate(g * np.where(pos, 1.0, expm1 + 1.0), fresh=True)
 
     return Tensor.from_op(out_data, (a,), "elu", backward)
 
@@ -261,9 +333,10 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
     keep = rng.random(a.data.shape) >= p
     factor = keep / (1.0 - p)
     out_data = a.data * factor
+    sa = a.sink
 
     def backward(g):
-        a.accumulate(g * factor, fresh=True)
+        sa.accumulate(g * factor, fresh=True)
 
     return Tensor.from_op(out_data, (a,), "dropout", backward)
 
@@ -277,18 +350,21 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = (xhat * xhat).sum(axis=1, keepdims=True) / x.shape[1]
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    out_data = xhat * gamma.data + beta.data
+    out_data = xhat * gamma.data
+    out_data += beta.data
+    sa, sg, sb = a.sink, gamma.sink, beta.sink
+    gamma_data = gamma.data
 
     def backward(g):
-        if gamma.requires_grad:
-            gamma.accumulate((g * xhat).sum(axis=0, keepdims=True), fresh=True)
-        if beta.requires_grad:
-            beta.accumulate(g.sum(axis=0, keepdims=True), fresh=True)
-        if a.requires_grad:
-            gg = g * gamma.data
+        if sg is not None:
+            sg.accumulate((g * xhat).sum(axis=0, keepdims=True), fresh=True)
+        if sb is not None:
+            sb.accumulate(g.sum(axis=0, keepdims=True), fresh=True)
+        if sa is not None:
+            gg = g * gamma_data
             m1 = gg.mean(axis=1, keepdims=True)
             m2 = (gg * xhat).mean(axis=1, keepdims=True)
-            a.accumulate((gg - m1 - xhat * m2) * inv, fresh=True)
+            sa.accumulate((gg - m1 - xhat * m2) * inv, fresh=True)
 
     return Tensor.from_op(out_data, (a, gamma, beta), "layer_norm", backward)
 
@@ -309,23 +385,25 @@ def distmult_scores(entities: Tensor, relations: Tensor, heads, rels) -> Tensor:
     if heads.shape != rels.shape or entities.shape[1] != relations.shape[1]:
         raise ValueError(f"distmult_scores: heads {heads.shape} and rels {rels.shape}, entities "
                          f"{entities.shape} and relations {relations.shape} do not match")
-    e_h, r_r = entities.data[heads], relations.data[rels]
+    ent = entities.data
+    e_h, r_r = ent[heads], relations.data[rels]
     q = e_h * r_r
+    se, sr, rel_shape = entities.sink, relations.sink, relations.data.shape
 
     def backward(g):
-        ge = g @ entities.data
-        if entities.requires_grad:
-            entities.accumulate((q.T @ g).T, fresh=True)
+        ge = g @ ent
+        if se is not None:
+            se.accumulate((q.T @ g).T, fresh=True)
             rows, slots = np.unique(heads, return_inverse=True)
-            de = np.zeros((len(rows), entities.shape[1]))
+            de = np.zeros((len(rows), ent.shape[1]))
             np.add.at(de, slots, ge * r_r)
-            entities.grad[rows] += de
-        if relations.requires_grad:
-            dr = np.zeros_like(relations.data)
+            se.grad[rows] += de
+        if sr is not None:
+            dr = np.zeros(rel_shape)
             np.add.at(dr, rels, ge * e_h)
-            relations.accumulate(dr, fresh=True)
+            sr.accumulate(dr, fresh=True)
 
-    return Tensor.from_op(q @ entities.data.T, (entities, relations), "distmult_scores", backward)
+    return Tensor.from_op(q @ ent.T, (entities, relations), "distmult_scores", backward)
 
 
 # ---------------------------------------------------------------------------
@@ -417,42 +495,46 @@ def edge_attention(h: Tensor, w_h: Tensor, w_t: Tensor, relation_table: Tensor, 
     The adjoint runs the softmax and leaky slope per edge, scatters the
     three endpoint terms onto nodes and relations with ``np.bincount``,
     then goes through each tanh and projection; ``h`` takes its destination
-    term before its source term. It keeps the three tanh outputs, the
-    attention and the sign mask when a gradient is recorded, and only the
-    attention otherwise.
+    term before its source term. When a gradient is recorded it keeps its
+    parameters' arrays, the three tanh outputs, the attention (its own
+    output) and the sign mask; otherwise only the attention is made.
     """
     if h.data.shape[0] != graph.num_nodes:
         raise ValueError("edge_attention: feature rows must equal node count")
     params = (h, w_h, w_t, relation_table, w_r, v_a)
     recording = _grad_enabled and any(p.requires_grad for p in params)
-    scores, pos, tanhs = _attention_scores(*(p.data for p in params), graph, slope, recording)
+    arrays = [p.data for p in params]
+    h_data, w_h_data, w_t_data, table_data, w_r_data, v_a_data = arrays
+    scores, pos, tanhs = _attention_scores(*arrays, graph, slope, recording)
     att = _segment_softmax(scores, graph.in_indptr)
+    s_h, s_w_h, s_w_t, s_table, s_w_r, s_v_a = (p.sink for p in params)
 
     def backward(g):
         ge = _segment_softmax_grad(g, att, graph.in_indptr)
         np.multiply(ge, slope, out=ge, where=~pos)
         ge = ge[:, 0]
-        v = v_a.data.reshape(3, -1)
-        gv = np.zeros_like(v) if v_a.requires_grad else None
+        v = v_a_data.reshape(3, -1)
+        gv = np.zeros_like(v) if s_v_a is not None else None
         # relation term first, then destination, then source
-        for j, x, w, idx in ((2, relation_table, w_r, graph.rel), (1, h, w_t, graph.dst),
-                             (0, h, w_h, graph.src)):
+        for j, x, sx, w, sw, idx in ((2, table_data, s_table, w_r_data, s_w_r, graph.rel),
+                                     (1, h_data, s_h, w_t_data, s_w_t, graph.dst),
+                                     (0, h_data, s_h, w_h_data, s_w_h, graph.src)):
             t = tanhs[j]
             gp = np.bincount(idx, ge, minlength=t.shape[0]).reshape(-1, 1)
             if gv is not None:
                 gv[j] = (t.T @ gp)[:, 0]
-            if x.requires_grad or w.requires_grad:
+            if sx is not None or sw is not None:
                 # g * (1 - t*t) with g = gp v_j, built in t's buffer and one more
                 gt = gp * v[j]
                 t *= t
                 np.subtract(1.0, t, out=t)
                 gt *= t
-                if w.requires_grad:
-                    w.accumulate((x.data.T @ gt).T)
-                if x.requires_grad:
-                    x.accumulate(gt @ w.data, fresh=True)
+                if sw is not None:
+                    sw.accumulate((x.T @ gt).T)
+                if sx is not None:
+                    sx.accumulate(gt @ w, fresh=True)
         if gv is not None:
-            v_a.accumulate(gv.reshape(1, -1), fresh=True)
+            s_v_a.accumulate(gv.reshape(1, -1), fresh=True)
 
     return Tensor.from_op(att, params, "edge_attention", backward)
 
@@ -505,7 +587,7 @@ def edge_spmm(att: Tensor, h: Tensor, graph, hops: int = 1, alpha: float = 0.0) 
     alpha times the summed G, then A^T gs of the first hop. The forward
     keeps no hop state: when ``att`` takes a gradient, the adjoint re-runs
     Z_1 .. Z_{K-1} from H through ``_hop_states``, with the forward's bits
-    as long as ``h.data`` is unchanged since the forward, and frees each
+    as long as the array of ``h`` it keeps is unchanged, and frees each
     once used. Its own buffers are scaled in place, so the recompute costs
     about K-1 sparse products and little extra time.
     """
@@ -526,23 +608,25 @@ def edge_spmm(att: Tensor, h: Tensor, graph, hops: int = 1, alpha: float = 0.0) 
     for z in _hop_states(matrix, h.data, hops, alpha):
         pass  # only the last state, Z_K, is kept
     keep = 1.0 - alpha
+    s_att, s_h = att.sink, h.sink
+    h_data = h.data if s_att is not None else None  # to re-run the hop states
 
     def backward(g):
-        states = list(_hop_states(matrix, h.data, hops - 1, alpha)) if att.requires_grad else None
-        g_sum = g.copy() if alpha and h.requires_grad else None
+        states = list(_hop_states(matrix, h_data, hops - 1, alpha)) if s_att is not None else None
+        g_sum = g.copy() if alpha and s_h is not None else None
         gs = g * keep  # a new buffer: the incoming gradient is never written
         for k in reversed(range(hops)):
-            if att.requires_grad:
-                att.accumulate(_edge_row_dot(gs, states.pop(), graph), fresh=True)
+            if s_att is not None:
+                s_att.accumulate(_edge_row_dot(gs, states.pop(), graph), fresh=True)
             if k:
                 gs = matrix.T @ gs  # G of hop k, scaled in place once summed
                 if g_sum is not None:
                     g_sum += gs
                 gs *= keep
-        if h.requires_grad:
+        if s_h is not None:
             if alpha:
                 g_sum *= alpha
-                h.accumulate(g_sum, fresh=True)
-            h.accumulate(matrix.T @ gs, fresh=True)
+                s_h.accumulate(g_sum, fresh=True)
+            s_h.accumulate(matrix.T @ gs, fresh=True)
 
     return Tensor.from_op(z, (att, h), "edge_spmm", backward)

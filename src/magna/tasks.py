@@ -93,13 +93,14 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray, mask: np.ndarray) -> 
     logp, p = _log_softmax(z)
     loss_val = float(-logp[np.arange(rows.size), y].mean())
     accuracy = float((z.argmax(axis=1) == y).mean())
+    sink, shape = logits.sink, logits.data.shape
 
     def backward(g):
         dz = p.copy()
         dz[np.arange(rows.size), y] -= 1.0
-        full = np.zeros_like(logits.data)
+        full = np.zeros(shape)
         full[rows] = (float(g) / rows.size) * dz
-        logits.accumulate(full, fresh=True)
+        sink.accumulate(full, fresh=True)
 
     return Tensor.from_op(np.asarray(loss_val), (logits,), "cross_entropy", backward), accuracy
 
@@ -154,11 +155,12 @@ def kl_label_smoothing_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
         terms -= logp
         np.sum(terms, axis=1, out=row_sums[rows])
     loss_val = float(row_sums.mean())
+    sink = logits.sink
 
     def backward(g):
         np.subtract(p, targets, out=p)
         np.multiply(p, float(g) / targets.shape[0], out=p)
-        logits.accumulate(p, fresh=True)
+        sink.accumulate(p, fresh=True)
 
     return Tensor.from_op(np.asarray(loss_val), (logits,), "kl_smoothed", backward)
 

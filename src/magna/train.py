@@ -321,8 +321,9 @@ def train_kg(kg: KgDataset, net_cfg: NetworkConfig, train_cfg: TrainConfig,
                                    train_cfg.label_smoothing)
         model.store.zero_grad()
         entity = model.entity_repr(training=True, rng=drop_rng)
-        scores = distmult_scores(entity, model.decoder.relations, heads[batch], rels[batch])
-        loss = kl_label_smoothing_loss(scores, targets)
+        # the scores die inside the loss: its adjoint reads its own softmax buffer
+        loss = kl_label_smoothing_loss(
+            distmult_scores(entity, model.decoder.relations, heads[batch], rels[batch]), targets)
         loss.backward()
         optimizer.step()
         return float(loss.data) * len(batch)

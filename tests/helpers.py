@@ -41,10 +41,13 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def proj_loss(t: Tensor, proj: np.ndarray) -> Tensor:
-    """Scalar loss sum(proj * t); fixed random proj makes gradients generic."""
+    """Scalar loss sum(proj * t); fixed random proj makes gradients generic.
+    Its adjoint holds ``t``'s gradient sink, not ``t``, so ``t``'s value
+    lives only as long as the caller or another adjoint holds it."""
+    sink = t.sink
 
     def backward(g):
-        t.accumulate(float(g) * proj)
+        sink.accumulate(float(g) * proj)
 
     return Tensor.from_op(np.asarray(float((proj * t.data).sum())), (t,), "proj", backward)
 
@@ -66,8 +69,10 @@ def check_grad(build_loss, params: dict, rtol: float = FD_RTOL) -> None:
 
 
 def graph_nodes(root: Tensor) -> list:
-    """The distinct nodes in the graph below ``root``, ``root`` included."""
-    seen, stack, found = set(), [root], []
+    """The distinct gradient sinks of the graph below ``root``: the tape
+    ``Node`` of ``root`` and of every recorded op result under it, and every
+    leaf that takes a gradient; ``root`` itself if it was not recorded."""
+    seen, stack, found = set(), [root if root._node is None else root._node], []
     while stack:
         t = stack.pop()
         if id(t) in seen:

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import os
 import time
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -287,6 +288,33 @@ def test_every_tape_op_has_a_finite_difference_case():
     ops = set(tape.__all__) - {"Tensor", "NonFiniteError", "no_grad"}
     missing = [op for op in ops if not any(n == op or n.startswith(op + "_") for n in names)]
     assert not missing, f"tape ops without a finite-difference case: {sorted(missing)}"
+
+
+# ops whose adjoint reads the op's own output, so that value lives as long
+# as the recorded graph does
+READS_OWN_OUTPUT = {"edge_attention"}
+
+
+def test_recorded_values_die_once_the_caller_drops_them(monkeypatch):
+    values = []  # (op, weak reference to the result's value), in forward order
+    from_op = Tensor.__dict__["from_op"].__func__
+
+    def spied(cls, data, parents, op, backward):
+        values.append((op, weakref.ref(data)))
+        return from_op(cls, data, parents, op, backward)
+
+    monkeypatch.setattr(Tensor, "from_op", classmethod(spied))
+    for name, build, _ in _op_cases(np.random.default_rng(0)):
+        values.clear()
+        loss = build()  # the root is the last value made
+        assert loss.requires_grad, name
+        inner = values[:-1]
+        live = {op for op, ref in inner if ref() is not None}
+        assert live == {op for op, _ in inner} & READS_OWN_OUTPUT, f"{name} keeps {sorted(live)}"
+        loss.backward()
+        assert all(ref() is None for _, ref in inner), f"{name} keeps a value past its backward"
+        del loss
+        assert values[-1][1]() is None, name
 
 
 def test_criterion_5_cora_accuracy(cora_runs):

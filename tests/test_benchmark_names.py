@@ -19,6 +19,7 @@ once per step.
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 
 import pytest
@@ -117,6 +118,35 @@ def test_workload_references_resolve():
     assert {"magna.load_node_dataset", "magna.train.TrainConfig", "magna.tape.Tensor.backward"} <= set(refs)
     for dotted in refs:
         _resolve(dotted)
+
+
+def test_tape_keeps_the_hooks_the_tracer_and_trainer_workloads_patch():
+    # the tracer rebinds ``from_op`` and wraps each recorded adjoint through
+    # ``_backward``; the trainer workloads rebind ``backward``
+    from_op = Tensor.__dict__["from_op"]
+    assert isinstance(from_op, classmethod)
+    assert list(inspect.signature(from_op.__func__).parameters) == ["cls", "data", "parents", "op", "backward"]
+    assert inspect.isfunction(Tensor.__dict__["backward"])
+
+    leaf = Tensor(np.array([[1.0, -2.0], [3.0, -4.0]]), requires_grad=True)
+    assert leaf._backward is None
+    with magna.tape.no_grad():
+        assert magna.tape.relu(leaf)._backward is None
+    assert magna.tape.relu(Tensor(leaf.data))._backward is None
+
+    out = magna.tape.relu(leaf)
+    adjoint, ran = out._backward, []
+
+    def wrapped(g):
+        ran.append(g.shape)
+        adjoint(g)
+
+    out._backward = wrapped
+    assert out._backward is wrapped
+    loss = magna.tape.matmul(magna.tape.matmul(Tensor(np.ones((1, 2))), out), Tensor(np.ones((2, 1))))
+    loss.backward()
+    assert ran == [(2, 2)]
+    assert np.array_equal(leaf.grad, [[1.0, 0.0], [1.0, 0.0]])
 
 
 def test_kg_train_builds_targets_before_the_forward_and_takes_one_loss_per_step(tmp_path, monkeypatch):

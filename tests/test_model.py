@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from magna import model
+from magna import attention, model
 from magna.attention import attention_diffusion, attention_weights
 from magna.graph import Graph
 from magna.model import MagnaNet, NetworkConfig
@@ -86,21 +86,29 @@ def test_gat_recovery_is_structural(rng):
     assert np.array_equal(net.block_forward(0, x).data, gat.data)
 
 
-def test_full_block_runs_one_diffusion_node_per_head(rng):
+def test_full_block_runs_one_diffusion_node_per_head(rng, monkeypatch):
     g = random_graph(rng, 7, extra_edges=5)
     cfg = small_cfg(blocks=1)
     net, _ = build_net(g, 3, cfg)
+    calls = []  # a node holds no values, so each diffusion's inputs and result are kept here
+
+    def kept_spmm(att, h, *args):
+        calls.append((att, h, edge_spmm(att, h, *args)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(attention, "edge_spmm", kept_spmm)
     out = net.forward(Tensor(rng.normal(size=(7, 3)), requires_grad=True))
     nodes = ops_named(out, "edge_spmm")
     assert len(nodes) == cfg.heads
+    assert {id(node) for node in nodes} == {id(result._node) for _, _, result in calls}
     # each node holds its head's K-step recursion Z <- (1-a) A Z + a H
-    for node in nodes:
-        att, h = node._parents
+    for att, h, result in calls:
+        assert result._node._parents == (att.sink, h.sink)
         a_dense = dense_attention(g, att.data)
         z = h.data
         for _ in range(cfg.hops):
             z = (1.0 - cfg.alpha) * (a_dense @ z) + cfg.alpha * h.data
-        assert_allclose(node.data, z, rtol=1e-12, atol=1e-12)
+        assert_allclose(result.data, z, rtol=1e-12, atol=1e-12)
 
 
 def test_depth_sweep_stays_finite(rng):
