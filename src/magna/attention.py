@@ -65,8 +65,8 @@ def edge_scores(h: Tensor, graph, params: AttentionHeadParams, relations: Tensor
     leaky_relu(v_a . tanh(W_h h_src || W_t h_dst || W_r r_rel)): the scores
     that ``attention_weights`` normalizes, from the same forward helper.
     """
-    scores, _, _ = _attention_scores(h.data, params.w_h.data, params.w_t.data, relations.data,
-                                     params.w_r.data, params.v_a.data, graph, LEAKY_SLOPE, False)
+    scores, _ = _attention_scores(h.data, params.w_h.data, params.w_t.data, relations.data,
+                                  params.w_r.data, params.v_a.data, graph, LEAKY_SLOPE)
     return Tensor(scores)
 
 

@@ -160,9 +160,10 @@ class MagnaNet:
             att = attention_weights(h_norm, self.graph, head, self.relations)
             att = dropout(att, cfg.dropout_attention, rng, training)
             outputs.append(attention_diffusion(att, h_norm, self.graph, hops, alpha))
-        h_hat = add(matmul(concat_cols(outputs), bp.w_o), x)
-        # without a tape nothing else holds the heads' outputs: free them before the FFN
+        h_hat = concat_cols(outputs)
+        # without a tape nothing else holds the heads' outputs: free them before W_o
         del outputs, att, h_norm
+        h_hat = add(matmul(h_hat, bp.w_o), x)
         if cfg.no_feedforward:
             return elu(h_hat)
         ffn_in = h_hat if cfg.no_layernorm else layer_norm(h_hat, *bp.ln2)

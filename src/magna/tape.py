@@ -11,12 +11,14 @@ The graph is kept apart from the values. A recorded op result gets a
 gradient, but no value. Each adjoint captures only the arrays it reads (a
 matmul keeps one operand for the other's gradient, an add only shapes), so
 an op result's value dies as soon as the caller drops it unless an adjoint
-reads it: the heads' diffusion outputs die once concatenated. A graph is
-replayed once: each node drops its adjoint and gradient as soon as the
-adjoint has run, so what the adjoints hold (softmax rows, tanh outputs) is
-freed during backward; only leaves keep their gradients. Hop states are
-never held: the diffusion adjoint recomputes them. Replaying a consumed
-graph raises.
+reads it: the heads' diffusion outputs die once concatenated. Where a
+node-sized value is cheap to rebuild from arrays an adjoint holds anyway,
+the adjoint rebuilds it instead: the diffusion's hop states and the
+attention's tanh projections are never held, and dropout keeps a one-byte
+mask. A graph is replayed once: each node drops its adjoint and gradient
+as soon as the adjoint has run, so what the adjoints hold (softmax rows,
+sign masks) is freed during backward; only leaves keep their gradients.
+Replaying a consumed graph raises.
 
 There is deliberately no general autodiff here: the vocabulary is the handful
 of ops the architecture needs, so every adjoint is short enough to audit.
@@ -331,12 +333,13 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
     if not training or p == 0.0:
         return a
     keep = rng.random(a.data.shape) >= p
-    factor = keep / (1.0 - p)
-    out_data = a.data * factor
+    out_data = a.data * (keep / (1.0 - p))
     sa = a.sink
 
     def backward(g):
-        sa.accumulate(g * factor, fresh=True)
+        # the forward's factor array, rebuilt from the one-byte mask
+        factor = keep / (1.0 - p)
+        sa.accumulate(np.multiply(g, factor, out=factor), fresh=True)
 
     return Tensor.from_op(out_data, (a,), "dropout", backward)
 
@@ -448,14 +451,21 @@ def _segment_softmax_grad(g: np.ndarray, out: np.ndarray, indptr: np.ndarray) ->
     return gx
 
 
-def _attention_scores(h, w_h, w_t, table, w_r, v_a, graph, slope, keep_tanh):
+def _tanh_projection(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``tanh(x @ w.T)`` in a fresh buffer: one endpoint term's projection,
+    built the same way by the attention forward and rebuilt by its adjoint."""
+    t = x @ w.T
+    np.tanh(t, out=t)
+    return t
+
+
+def _attention_scores(h, w_h, w_t, table, w_r, v_a, graph, slope):
     """Per-edge leaky_relu(v_a . tanh(W_h h_src || W_t h_dst || W_r r_rel)), shape (E, 1).
 
     tanh acts elementwise, so the dot with the concatenation splits exactly
     into three terms, one per endpoint, taken per node (or relation) and
-    gathered onto edges. Returns the scores, their sign mask and, with
-    ``keep_tanh``, the three tanh outputs (otherwise each is freed once its
-    term is taken), all plain arrays.
+    gathered onto edges; each tanh projection is freed once its term is
+    taken. Returns the scores and their sign mask, both plain arrays.
     """
     if graph.num_edges and int(graph.rel.max()) >= table.shape[0]:
         raise ValueError(
@@ -466,21 +476,14 @@ def _attention_scores(h, w_h, w_t, table, w_r, v_a, graph, slope, keep_tanh):
     if v_a.shape != (1, 3 * d):
         raise ValueError(f"edge_attention: v_a must have shape (1, {3 * d}), got {v_a.shape}")
     v = v_a.reshape(3, d)  # the source, destination and relation slices
-    tanhs, parts = [], []
-    for j, (x, w) in enumerate(((h, w_h), (h, w_t), (table, w_r))):
-        t = x @ w.T
-        np.tanh(t, out=t)
-        parts.append(t @ v[j:j + 1].T)
-        if keep_tanh:
-            tanhs.append(t)
-        del t  # else freed before the next projection is taken
-    src_part, dst_part, rel_part = parts
+    src_part, dst_part, rel_part = (_tanh_projection(x, w) @ v[j:j + 1].T
+                                    for j, (x, w) in enumerate(((h, w_h), (h, w_t), (table, w_r))))
     scores = src_part[graph.src]
     scores += dst_part[graph.dst]
     scores += rel_part[graph.rel]
     pos = scores > 0
     np.multiply(scores, slope, out=scores, where=~pos)
-    return scores, pos, tanhs
+    return scores, pos
 
 
 def edge_attention(h: Tensor, w_h: Tensor, w_t: Tensor, relation_table: Tensor, w_r: Tensor,
@@ -495,17 +498,20 @@ def edge_attention(h: Tensor, w_h: Tensor, w_t: Tensor, relation_table: Tensor, 
     The adjoint runs the softmax and leaky slope per edge, scatters the
     three endpoint terms onto nodes and relations with ``np.bincount``,
     then goes through each tanh and projection; ``h`` takes its destination
-    term before its source term. When a gradient is recorded it keeps its
-    parameters' arrays, the three tanh outputs, the attention (its own
-    output) and the sign mask; otherwise only the attention is made.
+    term before its source term. When a gradient is recorded it holds the
+    attention (its own output), the sign mask and its inputs' arrays, and
+    nothing node-sized of its own: it rebuilds each term's tanh projection
+    with ``_tanh_projection``, with the forward's bits as long as those
+    arrays are unchanged, and frees it once the term is taken. That costs
+    one projection and one tanh per term in the backward, and spares a
+    recorded head its (N, d) tanh outputs.
     """
     if h.data.shape[0] != graph.num_nodes:
         raise ValueError("edge_attention: feature rows must equal node count")
     params = (h, w_h, w_t, relation_table, w_r, v_a)
-    recording = _grad_enabled and any(p.requires_grad for p in params)
     arrays = [p.data for p in params]
     h_data, w_h_data, w_t_data, table_data, w_r_data, v_a_data = arrays
-    scores, pos, tanhs = _attention_scores(*arrays, graph, slope, recording)
+    scores, pos = _attention_scores(*arrays, graph, slope)
     att = _segment_softmax(scores, graph.in_indptr)
     s_h, s_w_h, s_w_t, s_table, s_w_r, s_v_a = (p.sink for p in params)
 
@@ -519,7 +525,7 @@ def edge_attention(h: Tensor, w_h: Tensor, w_t: Tensor, relation_table: Tensor, 
         for j, x, sx, w, sw, idx in ((2, table_data, s_table, w_r_data, s_w_r, graph.rel),
                                      (1, h_data, s_h, w_t_data, s_w_t, graph.dst),
                                      (0, h_data, s_h, w_h_data, s_w_h, graph.src)):
-            t = tanhs[j]
+            t = _tanh_projection(x, w)
             gp = np.bincount(idx, ge, minlength=t.shape[0]).reshape(-1, 1)
             if gv is not None:
                 gv[j] = (t.T @ gp)[:, 0]
@@ -529,6 +535,7 @@ def edge_attention(h: Tensor, w_h: Tensor, w_t: Tensor, relation_table: Tensor, 
                 t *= t
                 np.subtract(1.0, t, out=t)
                 gt *= t
+                del t
                 if sw is not None:
                     sw.accumulate((x.T @ gt).T)
                 if sx is not None:

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import os
 import time
+import tracemalloc
 import weakref
 from contextlib import contextmanager
 
@@ -272,7 +273,7 @@ def _op_cases(rng):
     head = [h, w_h, w_t, table, w_r]
     while True:
         v_a = Tensor(rng.normal(size=(1, 9)), requires_grad=True)
-        raw, _, _ = tape._attention_scores(*(t.data for t in head + [v_a]), kg_graph, 1.0, False)
+        raw, _ = tape._attention_scores(*(t.data for t in head + [v_a]), kg_graph, 1.0)
         if np.min(np.abs(raw)) >= 0.05:
             break
     pk = rng.normal(size=(kg_graph.num_edges, 1))
@@ -288,6 +289,66 @@ def test_every_tape_op_has_a_finite_difference_case():
     ops = set(tape.__all__) - {"Tensor", "NonFiniteError", "no_grad"}
     missing = [op for op in ops if not any(n == op or n.startswith(op + "_") for n in names)]
     assert not missing, f"tape ops without a finite-difference case: {sorted(missing)}"
+
+
+# Bytes of numpy buffers that a recorded op may allocate and still hold once
+# its forward returns, in units of its output's shape and its inputs' shapes
+# (argument order); measured values. Inputs' own arrays are not counted.
+# Under ``no_grad`` an op holds nothing once its result is dropped.
+HELD_BUDGETS = {
+    "matmul": lambda out, ins: 0,
+    "add": lambda out, ins: 0,
+    "concat_cols": lambda out, ins: 0,
+    "relu": lambda out, ins: np.prod(out),  # the sign mask
+    "elu": lambda out, ins: 9 * np.prod(out),  # the sign mask and expm1
+    "dropout": lambda out, ins: np.prod(out),  # the keep mask
+    "layer_norm": lambda out, ins: 8 * (np.prod(out) + out[0]),  # normalized rows, 1/std
+    "distmult_scores": lambda out, ins: 24 * out[0] * ins[0][1],  # E[heads], R[rels], product
+    "edge_spmm": lambda out, ins: 4 * (ins[0][0] + out[0] + 1),  # int32 CSR indices, indptr
+    "edge_attention": lambda out, ins: 9 * np.prod(out),  # the attention and its sign mask
+    "cross_entropy": lambda out, ins: 8 * (np.prod(ins[0]) + 2 * ins[0][0]),  # softmax, rows, labels
+    "kl_smoothed": lambda out, ins: 8 * np.prod(ins[0]),  # the softmax
+}
+
+
+def test_every_tape_op_holds_within_its_budget(monkeypatch):
+    from magna import tape
+
+    ops = set(tape.__all__) - {"Tensor", "NonFiniteError", "no_grad"}
+    assert not ops - set(HELD_BUDGETS), f"tape ops without a budget: {sorted(ops - set(HELD_BUDGETS))}"
+    made = []  # (op, output shape, input shapes), in forward order
+    from_op = Tensor.__dict__["from_op"].__func__
+
+    def spied(cls, data, parents, op, backward):
+        made.append((op, data.shape, [p.shape for p in parents]))
+        return from_op(cls, data, parents, op, backward)
+
+    monkeypatch.setattr(Tensor, "from_op", classmethod(spied))
+    numpy_buffers = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+
+    def held_after(build):
+        """(root, numpy bytes held with the root) of a second ``build()``;
+        first-call allocations stay out of the count."""
+        build()
+        made.clear()
+        tracemalloc.start()
+        try:
+            loss = build()
+            return loss, sum(t.size for t in tracemalloc.take_snapshot().filter_traces([numpy_buffers]).traces)
+        finally:
+            tracemalloc.stop()
+
+    for name, build, _ in _op_cases(np.random.default_rng(0)):
+        loss, held = held_after(build)
+        assert loss.requires_grad, name
+        op, out, ins = made[0]
+        assert name == op or name.startswith(op + "_"), (name, op)
+        # the root's 0-d value is the only other array alive
+        budget = 8 + HELD_BUDGETS[op](out, ins)
+        assert held <= budget, f"{name} holds {held} B, budget {budget} B"
+        with tape.no_grad():
+            loss, held = held_after(build)
+        assert not loss.requires_grad and held <= 8, f"{name} holds {held} B without a tape"
 
 
 # ops whose adjoint reads the op's own output, so that value lives as long

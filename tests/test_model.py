@@ -200,8 +200,9 @@ def test_one_hop_attention_capture(rng, monkeypatch):
 
 
 def test_evaluation_block_frees_head_outputs_before_the_feedforward(rng):
-    # without a tape, the heads' outputs and LN(x) must die with the mix: held
-    # through the feed-forward sub-layer they peaked at 8.56 arrays, not 6.38
+    # without a tape, the heads' outputs and LN(x) must die once concatenated:
+    # held through the feed-forward sub-layer they peaked at 8.56 arrays, held
+    # through the W_o product 6.38, and freed before it 5.60
     n, d = 3000, 16
     g = random_graph(rng, n, extra_edges=6000)
     net, _ = build_net(g, d, NetworkConfig(blocks=1, dim=d, heads=2, hops=3, relation_dim=4))
@@ -211,7 +212,7 @@ def test_evaluation_block_frees_head_outputs_before_the_feedforward(rng):
         with no_grad():
             net.block_forward(0, x)
 
-    assert peak_traced_bytes(run) < 7.0 * x.data.nbytes
+    assert peak_traced_bytes(run) < 6.0 * x.data.nbytes
 
 
 def test_dropout_changes_training_forward_only(rng):

@@ -61,7 +61,7 @@ def _scalar_attention_inputs(h_values, w: float, va: float, requires_grad: bool 
 def test_leaky_relu_negative_slope():
     g = Graph(2, 1, [(0, 0, 1)])
     params = [t.data for t in _scalar_attention_inputs([0.1, 0.1], 1.0, -1.0)]
-    scores, pos, _ = tape._attention_scores(*params, g, 0.2, False)
+    scores, pos = tape._attention_scores(*params, g, 0.2)
     assert not pos.any()
     assert scores[0, 0] == pytest.approx(-0.2 * 3.0 * np.tanh(0.1), abs=1e-15)
 
@@ -616,27 +616,43 @@ def test_training_forward_memory_does_not_grow_with_hops():
     assert abs(held_after_forward(6) - held_after_forward(1)) < 4096
 
 
-def test_recorded_block_holds_no_head_outputs():
+def _held_after_block_forward(training: bool, **rates) -> tuple[int, int]:
+    """Traced bytes a recorded one-block forward leaves held with its root,
+    past the first call, and the bytes of one head's (N, d) output."""
     g = random_graph(np.random.default_rng(0), 300, extra_edges=300).with_self_loops()
-    cfg = NetworkConfig(blocks=1, dim=16, heads=4, alpha=0.1, hops=3, relation_dim=4)
+    cfg = NetworkConfig(blocks=1, dim=16, heads=4, alpha=0.1, hops=3, relation_dim=4, **rates)
     net = MagnaNet(cfg, g, 16, ParamStore(), np.random.default_rng(2))
     h = Tensor(np.random.default_rng(1).normal(size=(g.num_nodes, 16)), requires_grad=True)
 
     def held_after_forward():
         tracemalloc.start()
         try:
-            out = net.block_forward(0, h)
+            out = net.block_forward(0, h, training=training, rng=np.random.default_rng(5))
             assert out.requires_grad
             return tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
 
     held_after_forward()  # first-call allocations stay out of the budget
-    # measured 786,660 B with the root held; the four heads' diffusion
-    # outputs are 153,600 B more, and a tape that kept them took 1,169,488 B.
-    # The slack is one head's output.
-    head_output = g.num_nodes * cfg.dim * 8
-    assert held_after_forward() < 786_660 + head_output
+    return held_after_forward(), g.num_nodes * cfg.dim * 8
+
+
+def test_recorded_block_holds_no_head_outputs():
+    held, head_output = _held_after_block_forward(training=False)
+    # measured 477,124 B with the root held. A tape that kept the four
+    # heads' diffusion outputs held 153,600 B more, and one that kept their
+    # tanh projections 309,536 B more. The slack is one head's output.
+    assert held < 477_124 + head_output
+
+
+def test_recorded_training_block_holds_dropout_masks_not_factors():
+    held, head_output = _held_after_block_forward(training=True, dropout_attention=0.2,
+                                                  dropout_feature=0.3)
+    # measured 532,812 B: the eval-mode block, the two feature and four
+    # attention keep masks at one byte per element, and each head's dropped
+    # attention, which its diffusion's matrix holds. Float64 factors in
+    # place of the masks are 100,576 B more by their shapes.
+    assert held < 532_812 + head_output
 
 
 def test_second_backward_on_consumed_graph_raises(rng):
