@@ -25,7 +25,7 @@ except ImportError:  # not on Windows
 
 from .analysis import attention_discrepancy, spectrum_report
 from .graph import GraphFormatError, load_kg_dataset, load_node_dataset, read_edge_file
-from .model import ABLATION_FLAGS, NetworkConfig
+from .model import NetworkConfig
 from .optim import load_checkpoint, save_checkpoint
 from .search import run_trials, sample_trials
 from .tape import no_grad
@@ -288,33 +288,6 @@ def cmd_analyze_discrepancy(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
-    flags = [f.strip() for f in args.flags.split(",") if f.strip()]
-    if not flags:
-        raise CliError("need at least one flag")
-    repeated = sorted({f for f in flags if flags.count(f) > 1})
-    if repeated:
-        raise CliError(f"repeated ablation flags: {repeated}")
-    net_cfg, train_cfg = _resolved_configs(args.config, "node", seed=args.seed)
-    net_cfg.with_flags(flags)  # first, so that an error names every unknown flag
-    variants = [(), *((flag,) for flag in flags)]
-    if len(flags) > 1:
-        variants.append(tuple(flags))
-    trials = [(variant, net_cfg.with_flags(variant), train_cfg) for variant in variants]
-    dataset = load_node_dataset(args.data)
-    out = _write_resolved_config(args.out, "ablate", args.seed,
-                                 {"data": args.data, "flags": flags}, net_cfg, train_cfg)
-    rows = []
-    for row in run_trials(dataset, trials):
-        name = "+".join(row["params"]) or "full"
-        label = "gat_equivalent" if set(row["params"]) == set(ABLATION_FLAGS) else name
-        rows.append([name, label, repr(row["val_metric"]), repr(row["test_metric"]), row["best_epoch"]])
-        print(f"{name} ({label}): val={row['val_metric']:.4f} test={row['test_metric']:.4f}")
-    _write_csv(os.path.join(out, "ablation.csv"), f"seed={args.seed}",
-               ["variant", "label", "val_metric", "test_metric", "best_epoch"], rows)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # argument wiring
 
@@ -348,12 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("ablate", help="train ablation variants side by side")
-    common(p)
-    p.add_argument("--flags", required=True,
-                   help=f"comma-separated subset of {','.join(ABLATION_FLAGS)}")
-    p.set_defaults(func=cmd_ablate)
 
     analyze = sub.add_parser("analyze", help="spectral and attention diagnostics")
     asub = analyze.add_subparsers(dest="analysis", required=True)

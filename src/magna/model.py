@@ -12,7 +12,7 @@ classical graph-attention baseline this architecture extends.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,21 +21,23 @@ from .graph import Graph
 from .optim import ParamStore
 from .tape import Tensor, add, concat_cols, dropout, elu, layer_norm, matmul, no_grad, relu
 
-__all__ = ["NetworkConfig", "MagnaBlockParams", "MagnaNet", "ABLATION_FLAGS"]
-
-ABLATION_FLAGS = ("no_diffusion", "no_layernorm", "no_feedforward")
+__all__ = ["NetworkConfig", "MagnaBlockParams", "MagnaNet"]
 
 
-def check_integer_fields(cfg, names, optional=()) -> None:
-    """Raise ``ValueError`` naming the first of ``names`` and ``optional``
-    whose value on ``cfg`` is not an int; a bool is not one, and an
-    ``optional`` field may also be None."""
-    for name in (*names, *optional):
-        value = getattr(cfg, name)
-        if value is None and name in optional:
-            continue
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+def check_field_types(cfg, integers=(), numbers=(), booleans=(), optional=()) -> None:
+    """Raise ``ValueError`` naming the first field on ``cfg`` whose value is
+    not of its kind: ``integers`` take an int, ``numbers`` an int or a float,
+    ``booleans`` a bool. A bool is neither an integer nor a number, and a
+    field in ``optional`` may also be None."""
+    kinds = ((integers, int, "an integer"), (numbers, (int, float), "a number"),
+             (booleans, bool, "a boolean"))
+    for names, types, what in kinds:
+        for name in names:
+            value = getattr(cfg, name)
+            if value is None and name in optional:
+                continue
+            if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,10 @@ class NetworkConfig:
     no_feedforward: bool = False
 
     def __post_init__(self):
-        check_integer_fields(self, ("blocks", "dim", "heads", "hops", "relation_dim"),
-                             optional=("ffn_dim",))
+        check_field_types(self, integers=("blocks", "dim", "heads", "hops", "relation_dim", "ffn_dim"),
+                          numbers=("alpha", "dropout_attention", "dropout_feature"),
+                          booleans=("no_diffusion", "no_layernorm", "no_feedforward"),
+                          optional=("ffn_dim",))
         if self.blocks < 1:
             raise ValueError("need at least one block")
         if self.dim < 1 or self.heads < 1 or self.relation_dim < 1:
@@ -74,12 +78,6 @@ class NetworkConfig:
     @property
     def ffn_width(self) -> int:
         return self.dim if self.ffn_dim is None else self.ffn_dim
-
-    def with_flags(self, flags) -> "NetworkConfig":
-        unknown = set(flags) - set(ABLATION_FLAGS)
-        if unknown:
-            raise ValueError(f"unknown ablation flags: {sorted(unknown)}")
-        return replace(self, **{f: True for f in flags})
 
     def to_dict(self) -> dict:
         return asdict(self)

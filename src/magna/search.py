@@ -12,8 +12,8 @@ values (names sorted, values in the order given) and draws ``trials`` samples
 of the other entries at each point from one generator seeded by the run seed.
 A sweep over seeds is a grid of ``seed``. Every trial's config is drawn and
 checked up front. ``run_trials`` trains any list of ``(params, net_cfg,
-train_cfg)`` trials, for ``search`` and ``ablate`` alike, and returns one row
-per trial in trial order; ``jobs`` only parallelizes the training runs.
+train_cfg)`` trials and returns one row per trial in trial order; ``jobs``
+only parallelizes the training runs.
 """
 
 from __future__ import annotations

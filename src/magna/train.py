@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .graph import SPLIT_TEST, SPLIT_TRAIN, SPLIT_VAL, KgDataset, NodeDataset, kg_answer_index
-from .model import MagnaNet, NetworkConfig, check_integer_fields
+from .model import MagnaNet, NetworkConfig, check_field_types
 from .optim import Adam, ParamStore
 from .tape import Tensor, distmult_scores, no_grad
 from .tasks import (
@@ -60,13 +60,18 @@ class TrainConfig:
     label_smoothing: float = 0.1    # KG loss only
 
     def __post_init__(self):
-        check_integer_fields(self, ("window", "seed", "batch_size"), optional=("epochs",))
+        check_field_types(self, integers=("window", "seed", "batch_size", "epochs"),
+                          numbers=("lr", "weight_decay", "label_smoothing"), optional=("epochs",))
         if self.window < 1:
             raise ValueError("early-stop window must be >= 1")
         if self.epochs is not None and self.epochs < 1:
             raise ValueError("epoch cap must be >= 1")
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.label_smoothing < 1.0:
+            raise ValueError(f"label smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
 

@@ -13,6 +13,8 @@ from magna.train import train_node_classifier
 
 from helpers import compositional_kg, read_bytes, read_json, save_node_dataset, separable_node_dataset
 
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
+
 
 @pytest.fixture(scope="module")
 def node_dir(tmp_path_factory):
@@ -269,35 +271,25 @@ def test_search_space_that_a_config_rejects_writes_no_file(node_dir, tiny_config
     assert not os.path.exists(out)
 
 
-def test_ablate_labels_gat_equivalent(node_dir, tiny_config, tmp_path):
-    out = str(tmp_path / "ablation")
-    rc = main(["ablate", "--data", node_dir, "--config", tiny_config, "--out", out,
-               "--flags", "no_diffusion,no_layernorm,no_feedforward", "--seed", "1"])
-    assert rc == 0
-    header, rows = read_csv_rows(os.path.join(out, "ablation.csv"))
-    # full, then each flag in the order given, then the combined variant
-    assert [r["variant"] for r in rows] == ["full", "no_diffusion", "no_layernorm", "no_feedforward",
-                                            "no_diffusion+no_layernorm+no_feedforward"]
-    variants = {r["variant"]: r for r in rows}
-    combined = variants["no_diffusion+no_layernorm+no_feedforward"]
-    assert combined["label"] == "gat_equivalent"
-    assert variants["full"]["label"] == "full"
-
-
-def test_ablate_rejects_unknown_flag(node_dir, tmp_path, capsys):
-    rc = main(["ablate", "--data", node_dir, "--out", str(tmp_path / "o"),
-               "--flags", "no_gravity"])
-    assert rc == 1
-    assert "no_gravity" in capsys.readouterr().err
-
-
-def test_ablate_rejects_repeated_flag(tmp_path, capsys):
-    """The flags are checked before the dataset loads: here there is none."""
+@pytest.mark.parametrize("space, message", [
+    ({"no_diffusion": {"kind": "choice", "values": ["false"]}},
+     "no_diffusion must be a boolean, got 'false'"),
+    ({"alpha": {"kind": "choice", "values": ["0.1"]}}, "alpha must be a number, got '0.1'"),
+    ({"label_smoothing": {"kind": "range", "low": 1.0, "high": 2.0}},
+     "label smoothing must be in [0, 1), got "),
+    ({"weight_decay": {"kind": "range", "low": -2.0, "high": -1.0}}, "weight decay must be >= 0, got "),
+], ids=["quoted-flag", "quoted-alpha", "label-smoothing", "weight-decay"])
+def test_search_value_a_config_rejects_fails_with_message(node_dir, tiny_config, tmp_path, capsys,
+                                                          space, message):
+    space_file = str(tmp_path / "space.json")
+    with open(space_file, "w") as fh:
+        json.dump(space, fh)
     out = str(tmp_path / "o")
-    rc = main(["ablate", "--data", str(tmp_path / "missing"), "--out", out,
-               "--flags", "no_diffusion,no_layernorm,no_diffusion"])
+    rc = main(["search", "--data", node_dir, "--config", tiny_config, "--space", space_file,
+               "--trials", "2", "--out", out])
     assert rc == 1
-    assert capsys.readouterr().err == "error: repeated ablation flags: ['no_diffusion']\n"
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
     assert not os.path.exists(out)
 
 
@@ -391,6 +383,31 @@ def test_grid_search_rows_are_the_trainer_runs(node_dir, tiny_config, tmp_path):
         assert float(row["test_metric"]) == report.test_metric
         assert int(row["best_epoch"]) == report.best_epoch
     assert len({row["test_metric"] for row in rows}) > 1
+
+
+def test_ablation_grid_rows_are_the_trainer_runs(node_dir, tiny_config, tmp_path):
+    """configs/ablate_node.json trains every on/off mix of the three ablation
+    flags; each row is the trainer's own run with those flags."""
+    out = str(tmp_path / "ablation")
+    rc = main(["search", "--data", node_dir, "--config", tiny_config, "--out", out, "--seed", "1",
+               "--space", os.path.join(CONFIGS, "ablate_node.json"), "--trials", "1"])
+    assert rc == 0
+    header, rows = read_csv_rows(os.path.join(out, "trials.csv"))
+    assert "seed=1" in header
+    flags = ("no_diffusion", "no_layernorm", "no_feedforward")
+    by_flags = {tuple(f for f in flags if row[f] == "True"): row for row in rows}
+    assert len(rows) == len(by_flags) == 2 ** len(flags)
+    dataset = load_node_dataset(node_dir)
+    net_cfg, train_cfg = cli.load_run_config(tiny_config)
+    # the full model, each flag alone, and all three: the one-hop attention baseline
+    for variant in [(), *((f,) for f in flags), flags]:
+        row = by_flags[variant]
+        report, _ = train_node_classifier(dataset,
+                                          dataclasses.replace(net_cfg, **{f: True for f in variant}),
+                                          dataclasses.replace(train_cfg, seed=1))
+        assert row["val_metric"] == repr(report.best_val)
+        assert row["test_metric"] == repr(report.test_metric)
+        assert row["best_epoch"] == str(report.best_epoch)
 
 
 @pytest.mark.parametrize("space, config, message", [

@@ -40,14 +40,32 @@ def test_config_validation():
         NetworkConfig(hops=0)
     with pytest.raises(ValueError):
         NetworkConfig.from_dict({"blociks": 3})
-    with pytest.raises(ValueError):
-        NetworkConfig().with_flags(["no_everything"])
 
 
 @pytest.mark.parametrize("value", [2.0, True, "2"], ids=["float", "bool", "str"])
 @pytest.mark.parametrize("name", ["blocks", "dim", "heads", "hops", "relation_dim", "ffn_dim"])
 def test_integer_fields_reject_other_types(name, value):
     with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        NetworkConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", [True, "0.1", None], ids=["bool", "str", "none"])
+@pytest.mark.parametrize("name", ["alpha", "dropout_attention", "dropout_feature"])
+def test_real_fields_reject_other_types(name, value):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a number, got {value!r}")):
+        NetworkConfig(**{name: value})
+
+
+def test_real_fields_accept_an_integer():
+    cfg = NetworkConfig(alpha=1, dropout_attention=0, dropout_feature=0)
+    assert (cfg.alpha, cfg.dropout_attention, cfg.dropout_feature) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None], ids=["str", "zero", "one", "none"])
+@pytest.mark.parametrize("name", ["no_diffusion", "no_layernorm", "no_feedforward"])
+def test_ablation_flags_reject_non_booleans(name, value):
+    """``bool("false")`` is True: a quoted flag must not train the ablated model."""
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a boolean, got {value!r}")):
         NetworkConfig(**{name: value})
 
 

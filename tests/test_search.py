@@ -73,7 +73,7 @@ SPACE_FILES = sorted(name for name in os.listdir(CONFIGS)
 
 
 def test_configs_hold_the_spaces_the_docs_use():
-    assert {"search_node.json", "search_kg.json", "sweep_hops.json"} <= set(SPACE_FILES)
+    assert {"search_node.json", "search_kg.json", "sweep_hops.json", "ablate_node.json"} <= set(SPACE_FILES)
 
 
 @pytest.mark.parametrize("name", SPACE_FILES)

@@ -49,6 +49,29 @@ def test_integer_fields_reject_other_types(name, value):
         TrainConfig(**{name: value})
 
 
+@pytest.mark.parametrize("value", [True, "0.1", None], ids=["bool", "str", "none"])
+@pytest.mark.parametrize("name", ["lr", "weight_decay", "label_smoothing"])
+def test_real_fields_reject_other_types(name, value):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a number, got {value!r}")):
+        TrainConfig(**{name: value})
+
+
+def test_real_fields_accept_an_integer():
+    cfg = TrainConfig(lr=1, weight_decay=0, label_smoothing=0)
+    assert (cfg.lr, cfg.weight_decay, cfg.label_smoothing) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("label_smoothing", 1.5, "label smoothing must be in [0, 1), got 1.5"),
+    ("label_smoothing", 1.0, "label smoothing must be in [0, 1), got 1.0"),
+    ("label_smoothing", -0.1, "label smoothing must be in [0, 1), got -0.1"),
+    ("weight_decay", -1.0, "weight decay must be >= 0, got -1.0"),
+])
+def test_loss_and_decay_ranges_are_checked_up_front(name, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrainConfig(**{name: value})
+
+
 # ---------------------------------------------------------------------------
 # early stopping
 
