@@ -24,7 +24,7 @@ from .graph import (
 from .linalg import dense_solve, sym_eigen
 from .model import MagnaNet, NetworkConfig
 from .optim import Adam, ParamStore, load_checkpoint, save_checkpoint
-from .tape import Tensor, distmult_scores, no_grad
+from .tape import Tensor, no_grad
 from .tasks import (
     ClassifierHead,
     DistMultDecoder,

@@ -22,6 +22,8 @@ Replaying a consumed graph raises.
 
 There is deliberately no general autodiff here: the vocabulary is the handful
 of ops the architecture needs, so every adjoint is short enough to audit.
+The losses are nodes of the same tape but live in ``tasks``; the KG loss
+scores its DistMult queries itself, so no score matrix is a node here.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "elu",
     "dropout",
     "layer_norm",
-    "distmult_scores",
     "edge_attention",
     "edge_spmm",
 ]
@@ -370,43 +371,6 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             sa.accumulate((gg - m1 - xhat * m2) * inv, fresh=True)
 
     return Tensor.from_op(out_data, (a, gamma, beta), "layer_norm", backward)
-
-
-def distmult_scores(entities: Tensor, relations: Tensor, heads, rels) -> Tensor:
-    """``(E[heads] * R[rels]) @ E^T``: the DistMult score of every entity as the
-    tail of each (head, relation) query, shape (queries, entities), as one node.
-
-    The adjoint keeps the bits of the gather, product and matmul chain it
-    replaces by adding in its order: ``entities`` takes ``(q^T G)^T`` first,
-    then the rows of ``(G E) * R[rels]`` summed per distinct head onto zeros,
-    and ``relations`` takes the rows of ``(G E) * E[heads]``. The chain added
-    a zero row to every other entity too; that could only turn a -0.0 into
-    +0.0, and a matmul's sums, which start from +0.0, give no -0.0 to turn.
-    """
-    heads = np.asarray(heads, dtype=np.int64)
-    rels = np.asarray(rels, dtype=np.int64)
-    if heads.shape != rels.shape or entities.shape[1] != relations.shape[1]:
-        raise ValueError(f"distmult_scores: heads {heads.shape} and rels {rels.shape}, entities "
-                         f"{entities.shape} and relations {relations.shape} do not match")
-    ent = entities.data
-    e_h, r_r = ent[heads], relations.data[rels]
-    q = e_h * r_r
-    se, sr, rel_shape = entities.sink, relations.sink, relations.data.shape
-
-    def backward(g):
-        ge = g @ ent
-        if se is not None:
-            se.accumulate((q.T @ g).T, fresh=True)
-            rows, slots = np.unique(heads, return_inverse=True)
-            de = np.zeros((len(rows), ent.shape[1]))
-            np.add.at(de, slots, ge * r_r)
-            se.grad[rows] += de
-        if sr is not None:
-            dr = np.zeros(rel_shape)
-            np.add.at(dr, rels, ge * e_h)
-            sr.accumulate(dr, fresh=True)
-
-    return Tensor.from_op(q @ ent.T, (entities, relations), "distmult_scores", backward)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Task heads, losses, and metrics for node classification and KG completion.
 
 The losses are tape ops with hand-derived adjoints (softmax minus target),
-so the finite-difference checks cover them like any architecture op. Ranking
+so the finite-difference checks cover them like any architecture op. The KG
+loss takes the entity and relation tables and scores the batch's DistMult
+1-N queries itself, so its scores, their softmax and their gradient share
+one batch x entities buffer. Ranking
 evaluation is pure numpy: queries are grouped by (entity, relation) key, a
 block of distinct keys is scored against all entities in one matrix product,
 each key's row is filtered once against its known-true answers, read for the
@@ -21,7 +24,7 @@ import numpy as np
 
 from .graph import KgDataset, kg_known_answers, kg_queries
 from .optim import ParamStore
-from .tape import Tensor, add, matmul
+from .tape import Tensor, _check_finite, add, matmul
 
 __all__ = [
     "ClassifierHead",
@@ -118,7 +121,7 @@ def smoothed_targets(tail_sets, num_entities: int, eps: float) -> np.ndarray:
     return targets
 
 
-# Bytes of logits per row block of ``kl_label_smoothing_loss`` (at least one
+# Bytes of scores per row block of ``kl_label_smoothing_loss`` (at least one
 # row): 8 rows at 4,094 entities, one row at WN18RR's 40,943. On a 2-core
 # Xeon (2 MB L2 per core), a 256 x 4,094 forward took 13 ms at 128-512 KB,
 # 17 ms at 4 MB and 21 ms unblocked; 256 x 40,943 took 120 ms at one row
@@ -126,28 +129,53 @@ def smoothed_targets(tail_sets, num_entities: int, eps: float) -> np.ndarray:
 _KL_BLOCK_BYTES = 2**18
 
 
-def kl_label_smoothing_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean KL(target || softmax(logits)) per row; zero iff they coincide.
+def kl_label_smoothing_loss(entities: Tensor, relations: Tensor, heads, rels,
+                            targets: np.ndarray) -> Tensor:
+    """Mean KL(target || softmax(scores)) per row over the DistMult 1-N scores
+    ``(E[heads] * R[rels]) @ E^T`` of each (head, relation) query against
+    every entity, as one node; zero iff the two distributions coincide.
 
-    Rows are as wide as the entity count, so only the softmax is allocated
-    at full batch x entities size. The log-softmax, the per-entry terms and
-    the ``targets > 0`` mask are built for one block of rows at a time, of
-    at most ``_KL_BLOCK_BYTES`` (at least one row), and each row's sum is
-    kept; every step is elementwise or reduces one row, so the blocks do
-    not change the bits. The adjoint overwrites the softmax with the
-    gradient and hands it to ``logits`` without a copy. ``targets`` is only
-    read.
+    Rows are as wide as the entity count, so the op allocates one batch x
+    entities buffer: the scores come from one matrix product over the whole
+    batch (a row-blocked product rounds differently), and each block of
+    rows, of at most ``_KL_BLOCK_BYTES`` (at least one), has its softmax
+    written back over its scores. The log-softmax, the per-entry terms and
+    the ``targets > 0`` mask are built one block at a time, and each row's
+    sum is kept; every step is elementwise or reduces one row, so the blocks
+    do not change the bits. The adjoint overwrites the softmax with the
+    score gradient ``(p - t) g / B`` and then adds in the order of the
+    gather, product and matmul chain the op replaces: ``entities`` takes
+    ``(q^T G)^T`` first (q = E[heads] * R[rels]), then the rows of
+    ``(G E) * R[rels]`` summed per distinct head onto zeros, and
+    ``relations`` takes the rows of ``(G E) * E[heads]``. ``targets`` is
+    only read.
     """
-    if logits.data.shape != targets.shape:
-        raise ValueError(f"shape mismatch: logits {logits.data.shape} vs targets {targets.shape}")
-    z = logits.data
-    p = np.empty_like(z)
-    row_sums = np.empty(z.shape[0])
-    block = max(1, _KL_BLOCK_BYTES // (z.itemsize * z.shape[1]))
-    for lo in range(0, z.shape[0], block):
+    heads = np.asarray(heads, dtype=np.int64)
+    rels = np.asarray(rels, dtype=np.int64)
+    ent = entities.data
+    num_entities, num_relations = ent.shape[0], relations.shape[0]
+    if heads.ndim != 1 or heads.shape != rels.shape or entities.shape[1] != relations.shape[1]:
+        raise ValueError(f"kl_label_smoothing_loss: heads {heads.shape} and rels {rels.shape}, "
+                         f"entities {entities.shape} and relations {relations.shape} do not match")
+    if targets.shape != (len(heads), num_entities):
+        raise ValueError(f"kl_label_smoothing_loss: targets {targets.shape}, "
+                         f"want {(len(heads), num_entities)}")
+    # a negative id would wrap around to another row
+    if ((heads < 0) | (heads >= num_entities)).any():
+        raise ValueError(f"kl_label_smoothing_loss: head id out of range [0, {num_entities})")
+    if ((rels < 0) | (rels >= num_relations)).any():
+        raise ValueError(f"kl_label_smoothing_loss: relation id out of range [0, {num_relations})")
+    e_h, r_r = ent[heads], relations.data[rels]
+    q = e_h * r_r
+    p = q @ ent.T
+    _check_finite(p, "kl_smoothed")
+    row_sums = np.empty(p.shape[0])
+    block = max(1, _KL_BLOCK_BYTES // (p.itemsize * p.shape[1]))
+    for lo in range(0, p.shape[0], block):
         rows = slice(lo, lo + block)
         t = targets[rows]
-        logp, _ = _log_softmax(z[rows], out=p[rows])
+        # the shifted copy is made before the softmax overwrites the scores
+        logp, _ = _log_softmax(p[rows], out=p[rows])
         # terms = t log t - t logp, with t log t = 0 where t = 0
         terms = np.log(t, out=np.zeros_like(t), where=t > 0)
         terms *= t
@@ -155,14 +183,24 @@ def kl_label_smoothing_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
         terms -= logp
         np.sum(terms, axis=1, out=row_sums[rows])
     loss_val = float(row_sums.mean())
-    sink = logits.sink
+    se, sr, rel_shape = entities.sink, relations.sink, relations.shape
 
     def backward(g):
         np.subtract(p, targets, out=p)
         np.multiply(p, float(g) / targets.shape[0], out=p)
-        sink.accumulate(p, fresh=True)
+        ge = p @ ent
+        if se is not None:
+            se.accumulate((q.T @ p).T, fresh=True)
+            rows, slots = np.unique(heads, return_inverse=True)
+            de = np.zeros((len(rows), ent.shape[1]))
+            np.add.at(de, slots, ge * r_r)
+            se.grad[rows] += de
+        if sr is not None:
+            dr = np.zeros(rel_shape)
+            np.add.at(dr, rels, ge * e_h)
+            sr.accumulate(dr, fresh=True)
 
-    return Tensor.from_op(np.asarray(loss_val), (logits,), "kl_smoothed", backward)
+    return Tensor.from_op(np.asarray(loss_val), (entities, relations), "kl_smoothed", backward)
 
 
 # Bytes of float64 scores in flight in ``kg_filtered_ranks``, split evenly

@@ -14,6 +14,7 @@ whole process, and they stay pinned after it returns (see
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -23,7 +24,7 @@ import numpy as np
 from .graph import SPLIT_TEST, SPLIT_TRAIN, SPLIT_VAL, KgDataset, NodeDataset, kg_answer_index
 from .model import MagnaNet, NetworkConfig, check_field_types
 from .optim import Adam, ParamStore
-from .tape import Tensor, distmult_scores, no_grad
+from .tape import Tensor, no_grad
 from .tasks import (
     ClassifierHead,
     DistMultDecoder,
@@ -70,6 +71,10 @@ class TrainConfig:
             raise ValueError("learning rate must be positive")
         if self.weight_decay < 0:
             raise ValueError(f"weight decay must be >= 0, got {self.weight_decay}")
+        # NaN passes both comparisons above, and JSON reads NaN and Infinity
+        for name in ("lr", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError(f"label smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.batch_size < 1:
@@ -326,9 +331,9 @@ def train_kg(kg: KgDataset, net_cfg: NetworkConfig, train_cfg: TrainConfig,
                                    train_cfg.label_smoothing)
         model.store.zero_grad()
         entity = model.entity_repr(training=True, rng=drop_rng)
-        # the scores die inside the loss: its adjoint reads its own softmax buffer
-        loss = kl_label_smoothing_loss(
-            distmult_scores(entity, model.decoder.relations, heads[batch], rels[batch]), targets)
+        # the scores, their softmax and their gradient share one buffer
+        loss = kl_label_smoothing_loss(entity, model.decoder.relations, heads[batch], rels[batch],
+                                       targets)
         loss.backward()
         optimizer.step()
         return float(loss.data) * len(batch)

@@ -320,10 +320,10 @@ def reference_kg_index(num_entities: int, triples: np.ndarray, all_triples: np.n
 
 
 def distmult_entity_grad(grad, entities, relations, heads, rels, g):
-    """The entity gradient that ``distmult_scores``' adjoint adds to ``grad``
-    (None for none yet), as the adjoint first wrote it: ``(q^T G)^T``, then
-    the head rows of ``(G E) * R[rels]`` scattered into a zeroed buffer of
-    the table's size, added whole."""
+    """The entity gradient that the KL loss's adjoint adds to ``grad`` (None
+    for none yet) for the score gradient ``g``, as the scoring op's adjoint
+    first wrote it: ``(q^T G)^T``, then the head rows of ``(G E) * R[rels]``
+    scattered into a zeroed buffer of the table's size, added whole."""
     q = entities[heads] * relations[rels]
     grad = (q.T @ g).T if grad is None else grad + (q.T @ g).T
     de = np.zeros_like(entities)
@@ -377,6 +377,56 @@ def distmult_chain(entities, relations, heads, rels):
 
     return matmul(mul(gather_rows(entities, heads), gather_rows(relations, rels)),
                   transpose(entities))
+
+
+def kl_logits_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean KL(target || softmax(logits)) per row as one ``kl_smoothed`` node
+    over given logits, computed as ``tasks.kl_label_smoothing_loss`` does
+    once it has its scores: the softmax goes into one buffer, a row block
+    at a time, and the adjoint turns it into the logits' gradient."""
+    from magna.tasks import _KL_BLOCK_BYTES, _log_softmax
+
+    z = logits.data
+    p = np.empty_like(z)
+    row_sums = np.empty(z.shape[0])
+    block = max(1, _KL_BLOCK_BYTES // (z.itemsize * z.shape[1]))
+    for lo in range(0, z.shape[0], block):
+        rows = slice(lo, lo + block)
+        t = targets[rows]
+        logp, _ = _log_softmax(z[rows], out=p[rows])
+        terms = np.log(t, out=np.zeros_like(t), where=t > 0)
+        terms *= t
+        logp *= t
+        terms -= logp
+        np.sum(terms, axis=1, out=row_sums[rows])
+    sink = logits.sink
+
+    def backward(g):
+        np.subtract(p, targets, out=p)
+        np.multiply(p, float(g) / targets.shape[0], out=p)
+        sink.accumulate(p, fresh=True)
+
+    return Tensor.from_op(np.asarray(float(row_sums.mean())), (logits,), "kl_smoothed", backward)
+
+
+def kl_scores(entities: Tensor, relations: Tensor, heads, rels) -> np.ndarray:
+    """The DistMult score rows that ``tasks.kl_label_smoothing_loss`` computes
+    for these queries, copied as its log-softmax receives them."""
+    from magna import tasks
+
+    blocks, log_softmax = [], tasks._log_softmax
+
+    def spy(z, out=None):
+        blocks.append(z.copy())
+        return log_softmax(z, out=out)
+
+    tasks._log_softmax = spy
+    try:
+        uniform = np.full((len(heads), entities.shape[0]), 1.0 / entities.shape[0])
+        tasks.kl_label_smoothing_loss(entities, relations, heads, rels, uniform)
+    finally:
+        tasks._log_softmax = log_softmax
+    return np.concatenate(blocks)
 
 
 def _chain_tanh(a: Tensor) -> Tensor:

@@ -179,7 +179,7 @@ def test_criterion_4_gradient_integrity(rng):
         from magna import tape
 
         # op-level checks (kink-free inputs where the op has a kink)
-        for _name, fn, params in _op_cases(rng):
+        for _name, fn, params, _ in _op_cases(rng):
             check_grad(fn, params)
 
         # end-to-end network on a 10-node graph
@@ -205,15 +205,16 @@ def test_criterion_4_gradient_integrity(rng):
 
 
 def _op_cases(rng):
-    """(name, loss builder, leaves) for every tape op; a name is the op's,
-    or the op's followed by ``_`` and a variant."""
+    """(name, loss builder, leaves, sizes) for every tape op; a name is the
+    op's, or the op's followed by ``_`` and a variant, and ``sizes`` holds
+    what the op's held budget needs beyond its parents' shapes."""
     from magna import tape
-    from magna.tasks import kl_label_smoothing_loss, smoothed_targets
+    from magna.tasks import kl_label_smoothing_loss
 
     cases = []
 
-    def tcase(name, build, params):
-        cases.append((name, build, params))
+    def tcase(name, build, params, **sizes):
+        cases.append((name, build, params, sizes))
 
     a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -238,11 +239,14 @@ def _op_cases(rng):
     c1 = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     p47 = rng.normal(size=(4, 7))
     tcase("concat_cols", lambda: proj_loss(tape.concat_cols([x, c1]), p47), {"x": x, "c1": c1})
+    # the KL loss scores five queries of the four entities in ``x`` against
+    # generic target rows
     relw = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     heads, rels = np.array([0, 2, 3, 3, 1]), np.array([1, 0, 1, 2, 1])
-    p54 = rng.normal(size=(5, 4))
-    tcase("distmult_scores", lambda: proj_loss(tape.distmult_scores(x, relw, heads, rels), p54),
-          {"x": x, "relw": relw})
+    targets = np.exp(rng.normal(size=(5, 4)))
+    targets /= targets.sum(axis=1, keepdims=True)
+    tcase("kl_smoothed", lambda: kl_label_smoothing_loss(x, relw, heads, rels, targets),
+          {"x": x, "relw": relw}, batch=len(heads))
     att = Tensor(rng.uniform(0.1, 1.0, size=(graph.num_edges, 1)), requires_grad=True)
     feat = Tensor(rng.normal(size=(graph.num_nodes, 3)), requires_grad=True)
     pn3 = rng.normal(size=(graph.num_nodes, 3))
@@ -260,8 +264,6 @@ def _op_cases(rng):
     labels = rng.integers(0, 6, size=4)
     tcase("cross_entropy", lambda: cross_entropy_loss(logits, labels, np.ones(4, bool))[0],
           {"logits": logits})
-    targets = smoothed_targets([np.array(t) for t in ([0], [1, 4], [2], [5])], 6, 0.1)
-    tcase("kl_smoothed", lambda: kl_label_smoothing_loss(logits, targets), {"logits": logits})
 
     # one attention head over two relations; v_a is drawn until every raw
     # score is at least 0.05 from the leaky kink
@@ -285,7 +287,7 @@ def _op_cases(rng):
 def test_every_tape_op_has_a_finite_difference_case():
     from magna import tape
 
-    names = [name for name, _, _ in _op_cases(np.random.default_rng(0))]
+    names = [name for name, _, _, _ in _op_cases(np.random.default_rng(0))]
     ops = set(tape.__all__) - {"Tensor", "NonFiniteError", "no_grad"}
     missing = [op for op in ops if not any(n == op or n.startswith(op + "_") for n in names)]
     assert not missing, f"tape ops without a finite-difference case: {sorted(missing)}"
@@ -293,7 +295,8 @@ def test_every_tape_op_has_a_finite_difference_case():
 
 # Bytes of numpy buffers that a recorded op may allocate and still hold once
 # its forward returns, in units of its output's shape and its inputs' shapes
-# (argument order); measured values. Inputs' own arrays are not counted.
+# (argument order), and of a case's ``sizes``; measured values. Inputs' own
+# arrays are not counted.
 # Under ``no_grad`` an op holds nothing once its result is dropped.
 HELD_BUDGETS = {
     "matmul": lambda out, ins: 0,
@@ -303,11 +306,11 @@ HELD_BUDGETS = {
     "elu": lambda out, ins: 9 * np.prod(out),  # the sign mask and expm1
     "dropout": lambda out, ins: np.prod(out),  # the keep mask
     "layer_norm": lambda out, ins: 8 * (np.prod(out) + out[0]),  # normalized rows, 1/std
-    "distmult_scores": lambda out, ins: 24 * out[0] * ins[0][1],  # E[heads], R[rels], product
     "edge_spmm": lambda out, ins: 4 * (ins[0][0] + out[0] + 1),  # int32 CSR indices, indptr
     "edge_attention": lambda out, ins: 9 * np.prod(out),  # the attention and its sign mask
     "cross_entropy": lambda out, ins: 8 * (np.prod(ins[0]) + 2 * ins[0][0]),  # softmax, rows, labels
-    "kl_smoothed": lambda out, ins: 8 * np.prod(ins[0]),  # the softmax
+    # the scores' buffer (softmax, then gradient); E[heads], R[rels], product
+    "kl_smoothed": lambda out, ins, batch: 8 * batch * (ins[0][0] + 3 * ins[0][1]),
 }
 
 
@@ -338,13 +341,13 @@ def test_every_tape_op_holds_within_its_budget(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    for name, build, _ in _op_cases(np.random.default_rng(0)):
+    for name, build, _, sizes in _op_cases(np.random.default_rng(0)):
         loss, held = held_after(build)
         assert loss.requires_grad, name
         op, out, ins = made[0]
         assert name == op or name.startswith(op + "_"), (name, op)
         # the root's 0-d value is the only other array alive
-        budget = 8 + HELD_BUDGETS[op](out, ins)
+        budget = 8 + HELD_BUDGETS[op](out, ins, **sizes)
         assert held <= budget, f"{name} holds {held} B, budget {budget} B"
         with tape.no_grad():
             loss, held = held_after(build)
@@ -365,7 +368,7 @@ def test_recorded_values_die_once_the_caller_drops_them(monkeypatch):
         return from_op(cls, data, parents, op, backward)
 
     monkeypatch.setattr(Tensor, "from_op", classmethod(spied))
-    for name, build, _ in _op_cases(np.random.default_rng(0)):
+    for name, build, _, _ in _op_cases(np.random.default_rng(0)):
         values.clear()
         loss = build()  # the root is the last value made
         assert loss.requires_grad, name

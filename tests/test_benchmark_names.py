@@ -14,12 +14,16 @@ The traced ``kg_train`` run also needs ``train_kg`` to build its first
 batch's targets before the first training forward, since the tracer counts
 every span before that forward as set-up, and to call the KL loss on them
 once per step.
+
+The committed ``BENCH_<workload>.json`` records of before and after runs
+keep one schema, checked here.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 
 import pytest
@@ -36,7 +40,8 @@ from magna.tape import Tensor
 
 from helpers import compositional_kg, random_graph
 
-PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def _tracing_module():
@@ -162,7 +167,7 @@ def test_kg_train_builds_targets_before_the_forward_and_takes_one_loss_per_step(
     monkeypatch.setattr(magna.train, "smoothed_targets", spy("targets", magna.train.smoothed_targets))
     monkeypatch.setattr(magna.train, "kl_label_smoothing_loss",
                         spy("loss", magna.train.kl_label_smoothing_loss,
-                            lambda logits, targets: targets.size))
+                            lambda *args: args[4].size))  # the targets
     monkeypatch.setattr(MagnaNet, "forward",
                         spy("forward", MagnaNet.forward,
                             lambda self, x, training=False, rng=None: training))
@@ -198,3 +203,29 @@ def test_block_calls_the_traced_attention_names_once_per_head(rng, monkeypatch):
     net = MagnaNet(cfg, g, 3, ParamStore(), np.random.default_rng(0))
     net.forward(Tensor(rng.normal(size=(7, 3))), training=True, rng=np.random.default_rng(1))
     assert calls == {"attention_weights": blocks * heads, "attention_diffusion": blocks * heads}
+
+
+BENCH_FILES = sorted(name for name in os.listdir(ROOT) if name.startswith("BENCH_") and name.endswith(".json"))
+
+
+def test_bench_files_exist():
+    assert BENCH_FILES
+
+
+@pytest.mark.parametrize("name", BENCH_FILES)
+def test_bench_file_keeps_the_shared_schema(name):
+    # the schema the committed before/after records share; extra sections
+    # are allowed
+    with open(os.path.join(ROOT, name), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        workloads = {w["name"] for w in json.load(fh)["workloads"]}
+    assert bench["workload"] == name[len("BENCH_"):-len(".json")]
+    assert bench["workload"] in workloads
+    assert bench["command"] and bench["claim"]
+    assert {"nproc", "memory_gb", "blas_threads", "python", "numpy", "scipy"} <= set(bench["machine"])
+    assert {"git_sha", "src_sha256"} <= set(bench["parent"])
+    assert {"base", "src_sha256"} <= set(bench["change"])
+    final = bench["final"]
+    for side in ("parent", "change"):
+        assert len(final[side]["samples"]) == final["pairs"], side

@@ -278,7 +278,9 @@ def test_search_space_that_a_config_rejects_writes_no_file(node_dir, tiny_config
     ({"label_smoothing": {"kind": "range", "low": 1.0, "high": 2.0}},
      "label smoothing must be in [0, 1), got "),
     ({"weight_decay": {"kind": "range", "low": -2.0, "high": -1.0}}, "weight decay must be >= 0, got "),
-], ids=["quoted-flag", "quoted-alpha", "label-smoothing", "weight-decay"])
+    # json writes and reads the NaN literal
+    ({"lr": {"kind": "choice", "values": [float("nan")]}}, "lr must be finite, got nan"),
+], ids=["quoted-flag", "quoted-alpha", "label-smoothing", "weight-decay", "nan-lr"])
 def test_search_value_a_config_rejects_fails_with_message(node_dir, tiny_config, tmp_path, capsys,
                                                           space, message):
     space_file = str(tmp_path / "space.json")

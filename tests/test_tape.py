@@ -11,6 +11,7 @@ from magna.graph import Graph
 from magna.model import MagnaNet, NetworkConfig
 from magna.optim import ParamStore
 from magna.tape import NonFiniteError, Tensor
+from magna.tasks import kl_label_smoothing_loss, smoothed_targets
 
 from helpers import (
     attention_chain,
@@ -20,6 +21,7 @@ from helpers import (
     distmult_entity_grad,
     finite_diff_grad,
     graph_nodes,
+    kl_logits_loss,
     mul,
     path_graph,
     peak_traced_bytes,
@@ -338,50 +340,62 @@ def test_layer_norm_matches_var_formula_bitwise(rng, shape):
         assert np.array_equal(got, want)
 
 
-def _rank_one_loss(t: Tensor, u: np.ndarray, v: np.ndarray) -> Tensor:
-    """Scalar sum(u v * t) for a column u and a row v. Its gradient, the outer
-    product u v, is built only in the adjoint, so no weight of t's shape is held."""
-
-    def backward(g):
-        t.accumulate((float(g) * u) * v, fresh=True)
-
-    return Tensor.from_op(np.asarray(float(u[:, 0] @ t.data @ v[0])), (t,), "rank_one", backward)
-
-
 @pytest.mark.parametrize("num_entities, dim, queries", [(7, 5, 40), (4094, 32, 256), (40943, 32, 1024)])
 def test_distmult_scores_matches_chain_bitwise(rng, num_entities, dim, queries):
-    # the entity table is a matmul output, as the network's is, and heads and
-    # relations repeat across the queries
+    # the KL loss scores its queries itself; it must give the bits of the
+    # five-node scoring chain followed by the KL over the chain's scores.
+    # The entity table is a matmul output, as the network's is, and heads
+    # and relations repeat across the queries
     x_values = rng.normal(size=(num_entities, 8))
     w_values = rng.normal(size=(8, dim)) / np.sqrt(8)
     r_values = rng.normal(size=(22, dim))
     heads, rels = rng.integers(num_entities, size=queries), rng.integers(22, size=queries)
-    u, v = rng.normal(size=(queries, 1)), rng.normal(size=(1, num_entities))
-    scores, grads = [], []
-    for scores_of in (distmult_chain, tape.distmult_scores):
+    tails = [rng.choice(num_entities, size=int(rng.integers(1, 4)), replace=False) for _ in range(queries)]
+    targets = smoothed_targets(tails, num_entities, 0.1)
+
+    def chain(entities, relations):
+        return kl_logits_loss(distmult_chain(entities, relations, heads, rels), targets)
+
+    def fused(entities, relations):
+        return kl_label_smoothing_loss(entities, relations, heads, rels, targets)
+
+    losses, grads = [], []
+    for loss_of in (chain, fused):
         params = [Tensor(a, requires_grad=True) for a in (x_values, w_values, r_values)]
-        out = scores_of(tape.matmul(params[0], params[1]), params[2], heads, rels)
-        assert count_ops(out, "distmult_scores") == (scores_of is tape.distmult_scores)
-        scores.append(out.data)
-        if len(scores) == 2:
-            assert np.array_equal(*scores)
-            scores.clear()  # so that one score matrix is held through the backward
-        _rank_one_loss(out, u, v).backward()
+        loss = loss_of(tape.matmul(params[0], params[1]), params[2])
+        assert count_ops(loss, "kl_smoothed") == 1
+        assert count_ops(loss, "mul") == (loss_of is chain)
+        losses.append(loss.data)
+        # an upstream gradient other than one, so the adjoint's scaling shows
+        mul(loss, Tensor(np.asarray(0.7))).backward()
+        del loss  # so that one score buffer is held at a time
         grads.append([p.grad for p in params])
+    assert np.array_equal(*losses)
     for got, want in zip(*grads):
         assert np.array_equal(got, want)
 
 
+def _softmax_rows(scores: np.ndarray) -> np.ndarray:
+    """The softmax that the KL loss writes over ``scores``, by its own steps."""
+    from magna.tasks import _log_softmax
+
+    return np.concatenate([_log_softmax(scores[i : i + 1])[1] for i in range(len(scores))])
+
+
 @pytest.mark.parametrize("earlier", [False, True])
 def test_distmult_entity_grad_keeps_the_full_buffer_bits(rng, earlier):
-    # zero gradient columns make every product in those entities' matmul
+    # targets equal to the softmax in every third column give score gradient
+    # columns of zeros, which make every product in those entities' matmul
     # sums a signed zero; an earlier gradient holds -0.0 in head rows and
     # in rows no query uses
     entities = rng.normal(size=(30, 6))
     relations = rng.normal(size=(4, 6))
     heads, rels = rng.integers(12, size=40), rng.integers(4, size=40)
-    g = rng.normal(size=(40, 30))
-    g[:, ::3] = 0.0
+    p = _softmax_rows((entities[heads] * relations[rels]) @ entities.T)
+    targets = rng.uniform(0.01, 0.05, size=p.shape)
+    targets[:, ::3] = p[:, ::3]
+    g = (p - targets) * (0.7 / len(heads))
+    assert (g[:, ::3] == 0.0).all()
     prev = None
     if earlier:
         prev = rng.normal(size=entities.shape)
@@ -389,8 +403,8 @@ def test_distmult_entity_grad_keeps_the_full_buffer_bits(rng, earlier):
     ent = Tensor(entities, requires_grad=True)
     ent.grad = None if prev is None else prev.copy()
     rel = Tensor(relations, requires_grad=True)
-    out = tape.distmult_scores(ent, rel, heads, rels)
-    out._backward(g)
+    loss = kl_label_smoothing_loss(ent, rel, heads, rels, targets)
+    loss._backward(np.asarray(0.7))
     want = distmult_entity_grad(prev, entities, relations, heads, rels, g)
     assert ent.grad.tobytes() == want.tobytes()
 

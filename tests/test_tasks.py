@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from magna import tasks
 from magna.graph import kg_queries
-from magna.tape import Tensor, distmult_scores
+from magna.tape import NonFiniteError, Tensor
 from magna.tasks import (
     cross_entropy_loss,
     kg_filtered_ranks,
@@ -23,7 +23,9 @@ from helpers import (
     brute_force_ranks,
     check_grad,
     compositional_kg,
+    distmult_chain,
     filtered_rank,
+    kl_scores,
     known_set,
     mul,
     peak_traced_bytes,
@@ -81,31 +83,52 @@ def test_cross_entropy_gradient(rng):
 
 
 # ---------------------------------------------------------------------------
-# DistMult
+# DistMult scores, read from the KL loss that computes them
 
 
 def test_distmult_all_ones():
-    s = distmult_scores(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3))), [0], [0])
-    assert s.data[0, 0] == pytest.approx(3.0)
+    s = kl_scores(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3))), [0], [0])
+    assert s[0, 0] == pytest.approx(3.0)
 
 
 def test_distmult_zero_relation_zeroes_scores(rng):
-    s = distmult_scores(Tensor(rng.normal(size=(5, 4))), Tensor(np.zeros((2, 4))), [0, 3], [1, 0])
-    assert_allclose(s.data, np.zeros((2, 5)))
+    s = kl_scores(Tensor(rng.normal(size=(5, 4))), Tensor(np.zeros((2, 4))), [0, 3], [1, 0])
+    assert_allclose(s, np.zeros((2, 5)))
 
 
 def test_distmult_hand_example():
-    s = distmult_scores(Tensor([[1.0, 2.0], [1.0, 1.0], [3.0, 0.0]]), Tensor([[1.0, 0.0]]), [0], [0])
-    assert_allclose(s.data, [[1.0, 1.0, 3.0]])
+    s = kl_scores(Tensor([[1.0, 2.0], [1.0, 1.0], [3.0, 0.0]]), Tensor([[1.0, 0.0]]), [0], [0])
+    assert_allclose(s, [[1.0, 1.0, 3.0]])
 
 
 def test_distmult_rejects_mismatched_inputs():
     ents, relw = Tensor(np.ones((4, 3))), Tensor(np.ones((2, 3)))
-    with pytest.raises(ValueError, match="distmult_scores"):
-        distmult_scores(ents, relw, [0, 1], [0])
+    with pytest.raises(ValueError, match="kl_label_smoothing_loss"):
+        kl_label_smoothing_loss(ents, relw, [0, 1], [0], np.ones((2, 4)))
     # a width-1 relation table would broadcast in the forward
-    with pytest.raises(ValueError, match="distmult_scores"):
-        distmult_scores(ents, Tensor(np.ones((2, 1))), [0], [0])
+    with pytest.raises(ValueError, match="kl_label_smoothing_loss"):
+        kl_label_smoothing_loss(ents, Tensor(np.ones((2, 1))), [0], [0], np.ones((1, 4)))
+    # one target row per query, one column per entity
+    with pytest.raises(ValueError, match="kl_label_smoothing_loss: targets"):
+        kl_label_smoothing_loss(ents, relw, [0], [0], np.ones((1, 5)))
+
+
+@pytest.mark.parametrize("heads, rels, message", [
+    ([-1], [0], "head id out of range"),  # would score entity N-1
+    ([4], [0], "head id out of range"),
+    ([0], [-2], "relation id out of range"),  # would read relation 0
+    ([0], [2], "relation id out of range"),
+])
+def test_distmult_rejects_ids_out_of_range(heads, rels, message):
+    ents, relw = Tensor(np.ones((4, 3))), Tensor(np.ones((2, 3)))
+    with pytest.raises(ValueError, match=message):
+        kl_label_smoothing_loss(ents, relw, heads, rels, np.full((1, 4), 0.25))
+
+
+def test_distmult_rejects_non_finite_scores():
+    ents = Tensor(np.array([[np.inf, 1.0], [1.0, 1.0]]))
+    with pytest.raises(NonFiniteError, match="kl_smoothed"):
+        kl_label_smoothing_loss(ents, Tensor(np.ones((1, 2))), [0], [0], np.full((1, 2), 0.5))
 
 
 def test_distmult_head_tail_symmetry(rng):
@@ -119,8 +142,8 @@ def test_distmult_head_tail_symmetry(rng):
             exact_th = ((e[t] * e[h]) * w[0]).sum()
             assert exact_ht == exact_th
             # the 1-N matrix-product evaluation rounds per direction; ulp-level only
-            s_ht = distmult_scores(ent, relw, [h], [0]).data[0, t]
-            s_th = distmult_scores(ent, relw, [t], [0]).data[0, h]
+            s_ht = kl_scores(ent, relw, [h], [0])[0, t]
+            s_th = kl_scores(ent, relw, [t], [0])[0, h]
             assert s_ht == pytest.approx(s_th, rel=1e-12, abs=1e-12)
 
 
@@ -129,7 +152,7 @@ def test_distmult_gradients(rng):
     ents = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     targets = smoothed_targets(tail_arrays([0], [2, 3]), 4, 0.1)
     check_grad(
-        lambda: kl_label_smoothing_loss(distmult_scores(ents, relw, [1, 3], [1, 0]), targets),
+        lambda: kl_label_smoothing_loss(ents, relw, [1, 3], [1, 0], targets),
         {"relw": relw, "ents": ents},
     )
 
@@ -138,41 +161,47 @@ def test_distmult_gradients(rng):
 # KL loss with label smoothing
 
 
-def test_kl_no_smoothing_uniform_logits_is_log_n():
+def test_kl_no_smoothing_uniform_logits_is_log_n(rng):
+    # a zero relation scores every entity 0
     targets = smoothed_targets(tail_arrays([2]), 5, 0.0)
-    loss = kl_label_smoothing_loss(Tensor(np.zeros((1, 5))), targets)
+    loss = kl_label_smoothing_loss(Tensor(rng.normal(size=(5, 3))), Tensor(np.zeros((1, 3))), [1], [0], targets)
     assert float(loss.data) == pytest.approx(np.log(5.0), abs=1e-12)
 
 
 def test_kl_spike_on_true_tail_is_near_zero():
-    logits = np.zeros((1, 6))
-    logits[0, 4] = 1e3
+    # one-hot entity rows score 1e3 on the head itself and 0 elsewhere
     targets = smoothed_targets(tail_arrays([4]), 6, 0.0)
-    loss = kl_label_smoothing_loss(Tensor(logits), targets)
+    loss = kl_label_smoothing_loss(Tensor(np.eye(6)), Tensor(np.full((1, 6), 1e3)), [4], [0], targets)
+    assert_allclose(kl_scores(Tensor(np.eye(6)), Tensor(np.full((1, 6), 1e3)), [4], [0]),
+                    [[0.0, 0.0, 0.0, 0.0, 1e3, 0.0]])
     assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_kl_smoothed_two_of_four_hand_value():
+def test_kl_smoothed_two_of_four_hand_value(rng):
     targets = smoothed_targets(tail_arrays([0, 1]), 4, 0.1)
     assert_allclose(targets, [[0.475, 0.475, 0.025, 0.025]])
-    loss = kl_label_smoothing_loss(Tensor(np.zeros((1, 4))), targets)
+    loss = kl_label_smoothing_loss(Tensor(rng.normal(size=(4, 2))), Tensor(np.zeros((1, 2))), [0], [0], targets)
     expected = sum(t * np.log(t / 0.25) for t in (0.475, 0.475, 0.025, 0.025))
     assert float(loss.data) == pytest.approx(expected, abs=1e-12)
 
 
 def test_kl_zero_iff_distributions_match():
     targets = smoothed_targets(tail_arrays([1, 3]), 4, 0.2)
-    logits = Tensor(np.log(targets))
-    loss = kl_label_smoothing_loss(logits, targets)
+    # one-dimensional entities 0, 1, 0, 1 under the relation log(t1 / t0)
+    # score log(targets) up to a shift, from the head entity 1
+    ents = Tensor(np.array([[0.0], [1.0], [0.0], [1.0]]))
+    relw = Tensor(np.array([[np.log(targets[0, 1] / targets[0, 0])], [0.0]]))
+    loss = kl_label_smoothing_loss(ents, relw, [1], [0], targets)
     assert 0.0 <= float(loss.data) <= 1e-9
-    other = kl_label_smoothing_loss(Tensor(np.zeros((1, 4))), targets)
+    other = kl_label_smoothing_loss(ents, relw, [1], [1], targets)
     assert float(other.data) > 1e-3
 
 
 def test_kl_nonnegative_random(rng):
     for _ in range(20):
         targets = smoothed_targets([rng.choice(8, size=2, replace=False)], 8, float(rng.uniform(0, 0.5)))
-        loss = kl_label_smoothing_loss(Tensor(rng.normal(size=(1, 8))), targets)
+        loss = kl_label_smoothing_loss(Tensor(rng.normal(size=(8, 3))), Tensor(rng.normal(size=(2, 3))),
+                                       [int(rng.integers(8))], [int(rng.integers(2))], targets)
         assert float(loss.data) >= 0.0
 
 
@@ -192,6 +221,15 @@ def _kl_loss_with_fresh_arrays(logits: Tensor, targets: np.ndarray) -> Tensor:
         logits.accumulate((float(g) / targets.shape[0]) * (p - targets))
 
     return Tensor.from_op(np.asarray(loss_val), (logits,), "kl_smoothed", backward)
+
+
+def _kl_queries(rng, shape, dim):
+    """Entity and relation tables and queries whose KL loss is ``shape``
+    (queries x entities)."""
+    rows, cols = shape
+    entities = rng.normal(size=(cols, dim))
+    relations = rng.normal(size=(5, dim))
+    return entities, relations, rng.integers(cols, size=rows), rng.integers(5, size=rows)
 
 
 def _kl_row_blocks(shape) -> list[int]:
@@ -220,16 +258,19 @@ def test_kl_in_place_matches_fresh_array_formula_bitwise(rng, eps):
         targets = smoothed_targets(tails, cols, eps)
         assert (targets == 0).any() == (eps == 0.0)  # eps = 0 leaves zeros for the log to skip
         original = targets.copy()
-        logits_values = 3.0 * rng.normal(size=targets.shape)
+        entities, relations, heads, rels = _kl_queries(rng, targets.shape, 6)
         results = []
-        for loss_fn in (kl_label_smoothing_loss, _kl_loss_with_fresh_arrays):
-            logits = Tensor(logits_values, requires_grad=True)
-            loss = loss_fn(logits, targets)
+        for fused in (True, False):
+            ents, relw = Tensor(entities, requires_grad=True), Tensor(relations, requires_grad=True)
+            if fused:
+                loss = kl_label_smoothing_loss(ents, relw, heads, rels, targets)
+            else:
+                loss = _kl_loss_with_fresh_arrays(distmult_chain(ents, relw, heads, rels), targets)
             assert np.array_equal(targets, original)
             # an upstream gradient other than one, so the adjoint's scaling shows
             mul(loss, Tensor(np.asarray(0.7))).backward()
             assert np.array_equal(targets, original)
-            results.append((loss.data, logits.grad))
+            results.append((loss.data, ents.grad, relw.grad))
         for got, want in zip(*results):
             assert np.array_equal(got, want), (rows, cols)
 
@@ -237,27 +278,34 @@ def test_kl_in_place_matches_fresh_array_formula_bitwise(rng, eps):
 def test_kl_loss_peak_memory_is_one_buffer_plus_row_block_scratch(rng):
     targets = smoothed_targets([np.array([i, 3 * i]) for i in range(1, 9)], 20_000, 0.1)
     assert len(_kl_row_blocks(targets.shape)) > 1
-    logits_values = rng.normal(size=targets.shape)
+    entities, relations, heads, rels = _kl_queries(rng, targets.shape, 2)
 
-    def forward_backward(loss_fn):
-        loss_fn(Tensor(logits_values, requires_grad=True), targets).backward()
+    def forward_backward(fused):
+        ents, relw = Tensor(entities, requires_grad=True), Tensor(relations, requires_grad=True)
+        if fused:
+            loss = kl_label_smoothing_loss(ents, relw, heads, rels, targets)
+        else:
+            loss = _kl_loss_with_fresh_arrays(distmult_chain(ents, relw, heads, rels), targets)
+        loss.backward()
 
-    in_place = peak_traced_bytes(lambda: forward_backward(kl_label_smoothing_loss))
-    fresh = peak_traced_bytes(lambda: forward_backward(_kl_loss_with_fresh_arrays))
-    # the softmax, which the adjoint turns into the gradient, plus one row
-    # block's log-softmax, terms and `targets > 0` mask; the fresh-array
-    # formula holds six arrays of the full size at its peak
+    in_place = peak_traced_bytes(lambda: forward_backward(True))
+    fresh = peak_traced_bytes(lambda: forward_backward(False))
+    # the scores, which the softmax and then the gradient overwrite, plus
+    # one row block's log-softmax, terms and `targets > 0` mask; the chain
+    # and the fresh-array formula hold six arrays of the full size at their
+    # peak
     assert in_place < 1.5 * targets.nbytes
     assert fresh > 5 * targets.nbytes
 
 
-def test_kl_loss_backward_hands_its_buffer_to_the_logits(rng):
-    targets = smoothed_targets([np.array([i, 3 * i]) for i in range(1, 9)], 20_000, 0.1)
-    logits = Tensor(rng.normal(size=targets.shape), requires_grad=True)
-    loss = kl_label_smoothing_loss(logits, targets)
-    # copying the gradient would allocate one more batch x entities array
+def test_kl_loss_backward_writes_the_score_gradient_into_its_buffer(rng):
+    targets = smoothed_targets([np.array([i, 3 * i]) for i in range(1, 65)], 20_000, 0.1)
+    entities, relations, heads, rels = _kl_queries(rng, targets.shape, 2)
+    ents = Tensor(entities, requires_grad=True)
+    loss = kl_label_smoothing_loss(ents, Tensor(relations), heads, rels, targets)
+    # a fresh score gradient would allocate one more batch x entities array
     assert peak_traced_bytes(loss.backward) < 0.1 * targets.nbytes
-    assert logits.grad.shape == targets.shape
+    assert ents.grad.shape == entities.shape
 
 
 def test_tail_arrays_in_any_order_give_the_set_targets():

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,14 @@ def test_real_fields_accept_an_integer():
 ])
 def test_loss_and_decay_ranges_are_checked_up_front(name, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):
+        TrainConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["lr", "weight_decay"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_rates_must_be_finite(name, value):
+    # NaN passes the range checks, and both would fail only at the first step
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be finite, got {value}")):
         TrainConfig(**{name: value})
 
 
@@ -263,6 +272,57 @@ def test_kg_training_holds_one_step_at_a_time(toy_kg, monkeypatch):
     # still held its predecessor's graph peaked about 25% above one step here
     one_step = peak_over_steps(1)
     assert peak_over_steps(4) < 1.1 * one_step
+
+
+def test_kg_step_holds_at_most_two_batch_by_entity_arrays(tmp_path, monkeypatch):
+    # the targets and the loss's buffer, which holds the scores, then their
+    # softmax, then their gradient; a separate score matrix would be a third.
+    # At 1,000 entities a KL row block is 32 rows, half the batch
+    kg = compositional_kg(str(tmp_path), groups=250)
+    batch = 64
+    assert kg.num_entities == 1000
+    size = 8 * batch * kg.num_entities
+    numpy_buffers = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    # every batch x entities array of a step is made in these files
+    watched = tuple(os.path.join("magna", name) for name in ("tasks.py", "train.py"))
+    most = 0
+
+    def count_live(frame, event, arg):
+        # after each line run: a snapshot only when the bytes traced since
+        # the step began could hold one more array than seen so far
+        nonlocal most
+        if tracemalloc.get_traced_memory()[0] >= (most + 1) * size:
+            traces = tracemalloc.take_snapshot().filter_traces([numpy_buffers]).traces
+            most = max(most, sum(t.size == size for t in traces))
+        return count_live
+
+    def trace_watched(frame, event, arg):
+        return count_live if frame.f_code.co_filename.endswith(watched) else None
+
+    class Stopped(Exception):
+        pass
+
+    class OneStepAdam(Adam):
+        def step(self):
+            super().step()
+            raise Stopped
+
+    def targets_starting_the_trace(*args):
+        tracemalloc.start()
+        return smoothed_targets(*args)
+
+    smoothed_targets = train.smoothed_targets
+    monkeypatch.setattr(train, "smoothed_targets", targets_starting_the_trace)
+    monkeypatch.setattr(train, "Adam", OneStepAdam)
+    net = NetworkConfig(blocks=1, dim=8, heads=1, hops=2, relation_dim=4)
+    sys.settrace(trace_watched)
+    try:
+        with pytest.raises(Stopped):
+            train_kg(kg, net, TrainConfig(epochs=1, batch_size=batch), entity_dim=8)
+    finally:
+        sys.settrace(None)
+        tracemalloc.stop()
+    assert most == 2
 
 
 def test_kg_test_triples_never_influence_training(tmp_path):
