@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import os
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
+from itertools import compress, count, islice, repeat
 
 import numpy as np
 
@@ -38,6 +39,9 @@ __all__ = [
 
 SPLIT_TOKENS = ("train", "val", "test")
 SPLIT_NONE, SPLIT_TRAIN, SPLIT_VAL, SPLIT_TEST = -1, 0, 1, 2
+# features.tsv lines per np.loadtxt call: one block's text and parsed rows
+# are what a load holds beside its array (about 2 MB at Cora's width)
+_FEATURE_BLOCK_LINES = 64
 
 
 class GraphFormatError(ValueError):
@@ -194,12 +198,17 @@ class KgDataset:
 # node dataset I/O
 
 
+def _open(path: str):
+    """``path`` opened as UTF-8 text, a leading byte-order mark skipped."""
+    if not os.path.isfile(path):
+        raise GraphFormatError("missing file", path)
+    return open(path, encoding="utf-8-sig")
+
+
 def _read_lines(path: str):
     """Yield (line number, text) for each nonblank line, newline stripped,
     as the file is read."""
-    if not os.path.isfile(path):
-        raise GraphFormatError("missing file", path)
-    with open(path, encoding="utf-8-sig") as fh:
+    with _open(path) as fh:
         for i, line in enumerate(fh, start=1):
             if line.strip():
                 yield i, line.rstrip("\n")
@@ -247,7 +256,7 @@ def read_edge_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows, dtype=np.int64).reshape(-1, 3), np.array(lines, dtype=np.int64)
 
 
-def _parse_features(path: str, lines: list[tuple[int, list[str]]]) -> np.ndarray:
+def _parse_features(path: str, lines: Iterable[tuple[int, list[str]]]) -> np.ndarray:
     """The per-line ``float()`` parse of features.tsv lines, each split at its
     tabs. It defines the accepted syntax and reports the first fault at its line."""
     rows = {}
@@ -278,27 +287,57 @@ def _parse_features(path: str, lines: list[tuple[int, list[str]]]) -> np.ndarray
 def _read_features(path: str) -> np.ndarray:
     """features.tsv as an (N, d) float64 array, row ``i`` for node ``i``.
 
-    numpy's C reader parses all values in one call. Like ``float()`` it ends
-    in ``PyOS_string_to_double``, so a block it accepts has ``float()``'s
-    bits, with one exception: it strips \\x1c-\\x1f around a value, which
-    ``float()`` rejects. A file with a fault, with one of those characters,
-    or with syntax only ``float()`` reads (underscores, non-ASCII digits)
-    goes to ``_parse_features``.
+    The file is read twice through one handle. The first pass counts the
+    nonblank lines and takes the width from the first of them, so the array
+    is allocated before any line is held. The second pass parses blocks of
+    ``_FEATURE_BLOCK_LINES`` lines with numpy's C reader and writes each row
+    in place at its node id, so a load holds the array plus one block.
+
+    Like ``float()`` the C reader ends in ``PyOS_string_to_double``, so a
+    value it accepts has ``float()``'s bits, with one exception: it strips
+    \\x1c-\\x1f around a value, which ``float()`` rejects. A file with a fault,
+    with one of those characters, or with syntax only ``float()`` reads
+    (underscores, non-ASCII digits) goes to ``_parse_features``, which reads
+    it again and reports the first fault at its line.
     """
-    # each line is split as it is read, so the file's text is held once
-    lines = [(lineno, line.split("\t")) for lineno, line in _read_lines(path)]
-    # numpy skips an empty line, so an empty values field would drop its row
-    if lines and all(len(parts) == 2 and parts[1] for _, parts in lines):
-        values = [parts[1] for _, parts in lines]
+    with _open(path) as fh:
+        features = _stream_features(fh)
+    if features is None:
+        features = _parse_features(path, ((i, line.split("\t")) for i, line in _read_lines(path)))
+    return features
+
+
+def _stream_features(fh) -> np.ndarray | None:
+    """The two passes of ``_read_features`` over ``fh``, or None for a file
+    that must go to ``_parse_features``."""
+    # a line is blank when it strips to nothing, as in _read_lines
+    nonblank = (line for line in fh if not line.isspace())
+    first = next(nonblank, "").rstrip("\n").split("\t")
+    if len(first) != 2:
+        return None
+    num_rows = 1 + sum(1 for _ in nonblank)
+    features = np.empty((num_rows, first[1].count(",") + 1))
+    seen = np.zeros(num_rows, dtype=bool)
+    fh.seek(0)
+    nonblank = (line for line in fh if not line.isspace())
+    while block := [line.rstrip("\n").split("\t") for line in islice(nonblank, _FEATURE_BLOCK_LINES)]:
+        # numpy skips an empty line, so an empty values field would drop its row
+        if not all(len(parts) == 2 and parts[1] for parts in block):
+            return None
+        values = [parts[1] for parts in block]
+        if any(c in v for v in values for c in "\x1c\x1d\x1e\x1f"):
+            return None
         try:
-            ids = [int(parts[0]) for _, parts in lines]
-            in_order = list(range(len(ids)))
-            if sorted(ids) == in_order and not any(c in v for v in values for c in "\x1c\x1d\x1e\x1f"):
-                features = np.loadtxt(values, delimiter=",", comments=None, ndmin=2)
-                return features if ids == in_order else features[np.argsort(ids)]
+            ids = [int(parts[0]) for parts in block]
+            block_rows = np.loadtxt(values, delimiter=",", comments=None, ndmin=2)
         except ValueError:
-            pass
-    return _parse_features(path, lines)
+            return None
+        if block_rows.shape != (len(block), features.shape[1]) or min(ids) < 0 or max(ids) >= num_rows:
+            return None
+        features[ids] = block_rows
+        seen[ids] = True
+    # the N rows, their ids in range, cover 0..N-1 only if each id is there once
+    return features if seen.all() else None
 
 
 def load_node_dataset(directory: str) -> NodeDataset:
@@ -380,9 +419,7 @@ def _read_triples(path: str, entity_ids: defaultdict, relation_ids: defaultdict)
     name interns it. The file is read and split whole, and the lookups run
     as C loops over the field lists, with no Python code per line.
     """
-    if not os.path.isfile(path):
-        raise GraphFormatError("missing file", path)
-    with open(path, encoding="utf-8-sig") as fh:
+    with _open(path) as fh:
         lines = fh.read().split("\n")
     # as _read_lines: a line is blank when it strips to nothing
     nonblank = np.fromiter(map(bool, map(str.strip, lines)), dtype=bool, count=len(lines))

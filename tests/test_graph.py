@@ -4,12 +4,14 @@ import os
 import tempfile
 from collections import defaultdict
 from itertools import count
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import magna.graph
 from magna.graph import (
     SPLIT_TEST,
     SPLIT_TRAIN,
@@ -248,6 +250,10 @@ FEATURE_FAULTS = [
     ("0\t1.0,x\n1\t1.0\t2\n", 1, "bad feature value"),
     ("0\t1,2\n0\t1,2\n1\t3\n", 2, "duplicate node id 0"),
     ("0\t1,2\n1\t1\n1\tx\n", 2, "ragged feature row (1 values, expected 2)"),
+    # with two-line blocks, the fault shows in the second block but sits in
+    # the first, or the second block alone is narrower than the first
+    ("0\t1\n0\t2\n1\tx\n", 2, "duplicate node id 0"),
+    ("0\t1,2\n1\t3,4\n2\t5\n", 3, "ragged feature row (1 values, expected 2)"),
 ]
 
 
@@ -288,15 +294,40 @@ def test_feature_tokens_float_rejects_are_faults(tmp_path, token):
     assert str(info.value) == f"{path}:3: bad feature value"
 
 
-@given(st.lists(st.lists(st.floats(width=64), min_size=3, max_size=3), min_size=1, max_size=6),
-       st.randoms(use_true_random=False))
-def test_features_round_trip_float_bits(rows, random):
-    import tempfile
+# one-line blocks put each line of the files above in a block of its own;
+# two-line blocks split every file of three or more lines
+@pytest.mark.parametrize("block_lines", [1, 2])
+@pytest.mark.parametrize("text, line, message", FEATURE_FAULTS)
+def test_feature_faults_hold_across_blocks(tmp_path, monkeypatch, block_lines, text, line, message):
+    monkeypatch.setattr(magna.graph, "_FEATURE_BLOCK_LINES", block_lines)
+    test_feature_faults_name_their_line(tmp_path, text, line, message)
 
+
+@pytest.mark.parametrize("block_lines", [1, 2])
+@pytest.mark.parametrize("token", ACCEPTED_TOKENS)
+def test_feature_tokens_load_as_float_does_across_blocks(tmp_path, monkeypatch, block_lines, token):
+    monkeypatch.setattr(magna.graph, "_FEATURE_BLOCK_LINES", block_lines)
+    test_feature_tokens_load_as_float_does(tmp_path, token)
+
+
+@pytest.mark.parametrize("block_lines", [1, 2])
+@pytest.mark.parametrize("token", REJECTED_TOKENS)
+def test_feature_tokens_float_rejects_are_faults_across_blocks(tmp_path, monkeypatch, block_lines, token):
+    monkeypatch.setattr(magna.graph, "_FEATURE_BLOCK_LINES", block_lines)
+    test_feature_tokens_float_rejects_are_faults(tmp_path, token)
+
+
+@given(st.lists(st.lists(st.floats(width=64), min_size=3, max_size=3), min_size=1, max_size=8),
+       st.randoms(use_true_random=False), st.integers(1, 3), st.integers(0, 8))
+def test_features_round_trip_float_bits(rows, random, block_lines, edge):
     ids = list(range(len(rows)))
     random.shuffle(ids)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = write_features(tmp, "".join(f"{i}\t{','.join(map(repr, rows[i]))}\n" for i in ids))
+    lines = [f"{i}\t{','.join(map(repr, rows[i]))}\n" for i in ids]
+    # a blank line after a whole number of blocks
+    lines.insert(block_lines * min(edge, len(lines) // block_lines), "\n")
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(magna.graph, "_FEATURE_BLOCK_LINES", block_lines):
+        path = write_features(tmp, "".join(lines))
         got = load_node_dataset(tmp).features
         expected = per_token_features(path)
     assert got.tobytes() == expected.tobytes()
@@ -304,13 +335,14 @@ def test_features_round_trip_float_bits(rows, random):
     assert np.array_equal(got, np.array(rows), equal_nan=True)
 
 
-@pytest.fixture(scope="module")
-def cora_shaped_features(tmp_path_factory):
+def cora_shaped(tmp_path_factory, shuffled):
     """A seeded Cora-shaped features.tsv: 2,708 rows of 1,433 values, about
-    1.3% nonzero, each row normalized to sum 1."""
+    1.3% nonzero, each row normalized to sum 1, in order of node id or
+    shuffled. Returns its directory and path."""
     rng = np.random.default_rng(2708)
+    ids = rng.permutation(2708) if shuffled else range(2708)
     lines = []
-    for i in range(2708):
+    for i in ids:
         hot = np.unique(rng.integers(0, 1433, size=19))
         row = np.full(1433, "0.0", dtype=object)
         row[hot] = repr(1.0 / len(hot))
@@ -319,20 +351,34 @@ def cora_shaped_features(tmp_path_factory):
     return directory, write_features(directory, "".join(lines))
 
 
-def test_cora_shaped_features_have_float_bits(cora_shaped_features):
-    directory, path = cora_shaped_features
-    features = load_node_dataset(directory).features
-    assert features.shape == (2708, 1433)
-    assert 0.012 < np.count_nonzero(features) / features.size < 0.014
-    assert features.tobytes() == per_token_features(path).tobytes()
+@pytest.fixture(scope="module")
+def cora_shaped_features(tmp_path_factory):
+    return cora_shaped(tmp_path_factory, shuffled=False)
 
 
-def test_cora_shaped_load_memory(cora_shaped_features):
-    # the result takes 31 MB and the file's text, held once as split fields,
-    # 16 MB; a second copy of the text would break the bound, and a float
-    # object per value would add 94 MB more
-    peak = peak_traced_bytes(lambda: load_node_dataset(cora_shaped_features[0]))
-    assert peak < 56 * 2**20
+@pytest.fixture(scope="module")
+def shuffled_cora_features(tmp_path_factory):
+    return cora_shaped(tmp_path_factory, shuffled=True)
+
+
+def test_cora_shaped_features_have_float_bits(cora_shaped_features, shuffled_cora_features):
+    for directory, path in (cora_shaped_features, shuffled_cora_features):
+        features = load_node_dataset(directory).features
+        assert features.shape == (2708, 1433)
+        assert 0.012 < np.count_nonzero(features) / features.size < 0.014
+        assert features.tobytes() == per_token_features(path).tobytes()
+
+
+@pytest.mark.parametrize("order", ["cora_shaped_features", "shuffled_cora_features"],
+                         ids=["in_order", "shuffled"])
+def test_cora_shaped_load_memory(request, order):
+    # the result takes 31.0 MB (29.6 MiB), allocated before any line is read;
+    # the rest is one block of lines, its text and its parsed rows (a 33.0 MB
+    # traced peak). The whole text held at once would add 16 MB, and rows
+    # reordered by a copy 31 MB
+    directory, _ = request.getfixturevalue(order)
+    peak = peak_traced_bytes(lambda: load_node_dataset(directory))
+    assert peak < 2708 * 1433 * 8 + 3 * 2**20
 
 
 # ---------------------------------------------------------------------------
